@@ -299,19 +299,26 @@ Fleet::stepNode(size_t n)
     node.truth_qos = sb.all_qos_met;
 }
 
+bool
+Fleet::reportsInfeasible(size_t n) const
+{
+    const Node& node = nodes_[n];
+    if (!node.searched || node.server == nullptr)
+        return false;
+    const core::ControllerResult& r = node.manager->lastResult();
+    return r.infeasible_detected && !r.infeasible_jobs.empty();
+}
+
 void
 Fleet::rescheduleNode(size_t n, FleetWindow& w,
                       const std::vector<char>* avoid)
 {
+    if (!reportsInfeasible(n))
+        return;
     Node& node = nodes_[n];
-    if (!node.searched || node.server == nullptr)
-        return;
-    const core::ControllerResult& r = node.manager->lastResult();
-    if (!r.infeasible_detected || r.infeasible_jobs.empty())
-        return;
     // Descending index order keeps the remaining reported indices
     // valid as rows shift down.
-    std::vector<size_t> evict = r.infeasible_jobs;
+    std::vector<size_t> evict = node.manager->lastResult().infeasible_jobs;
     std::sort(evict.begin(), evict.end(), std::greater<size_t>());
     for (size_t idx : evict) {
         if (idx >= node.job_ids.size())

@@ -287,11 +287,14 @@ class Fleet
     /**
      * Act on node @p n's infeasibility signal (the per-node slice of
      * phase C): evict the reported jobs, re-place or park them,
-     * accumulating counters into @p w. No-op unless the node searched
-     * this window and reported infeasible jobs.
+     * accumulating counters into @p w. No-op unless
+     * reportsInfeasible(n).
      */
     void rescheduleNode(size_t n, FleetWindow& w,
                         const std::vector<char>* avoid = nullptr);
+
+    /** Did node @p n search this window and report infeasible jobs? */
+    bool reportsInfeasible(size_t n) const;
 
     FleetOptions options_;
     platform::ServerConfig config_;

@@ -1,6 +1,10 @@
 #include "cluster/manager.h"
 
 #include <algorithm>
+#include <condition_variable>
+#include <exception>
+#include <functional>
+#include <mutex>
 
 #include "common/error.h"
 #include "common/rng.h"
@@ -9,13 +13,88 @@
 namespace clite {
 namespace cluster {
 
+/**
+ * Node steps launched by dispatch() and not yet retired, in launch
+ * order, shared with the pool jobs that run them. Steps are claimed in
+ * launch order by whichever thread gets there first: a pool job, or
+ * the manager while it waits. Held by shared_ptr like parallelFor's
+ * ForLoopState: a pool job scheduled only after its step was claimed,
+ * or after run() returned, still finds valid state, claims nothing and
+ * exits without touching the engine or the fleet.
+ */
+struct AsyncFleetEngine::StepQueue
+{
+    struct Step
+    {
+        size_t node = 0;
+        bool done = false;
+        LcTally delta;            ///< What the step changed in the tally.
+        std::exception_ptr error; ///< What the step threw, if anything.
+    };
+
+    /** Runs node n's step and returns its tally delta (any thread). */
+    std::function<LcTally(size_t)> run_step;
+
+    std::mutex mutex;
+    std::condition_variable done_cv;
+    std::deque<Step> steps; ///< Launch numbers [first, first + size).
+    uint64_t first = 0;     ///< Steps retired.
+    uint64_t next = 0;      ///< Steps claimed.
+    size_t open = 0;        ///< Steps not yet done.
+
+    Step& at(uint64_t k) { return steps[size_t(k - first)]; }
+
+    /**
+     * Claim the oldest unclaimed step and run it on this thread.
+     * @p lk is held on entry and on return.
+     * @return False when every step is already claimed.
+     */
+    bool
+    runNext(std::unique_lock<std::mutex>& lk)
+    {
+        if (next == first + steps.size())
+            return false;
+        const uint64_t k = next++;
+        const size_t node = at(k).node;
+        lk.unlock();
+        LcTally delta;
+        std::exception_ptr error;
+        try {
+            delta = run_step(node);
+        } catch (...) {
+            error = std::current_exception();
+        }
+        lk.lock();
+        Step& step = at(k);
+        step.delta = delta;
+        step.error = error;
+        step.done = true;
+        --open;
+        done_cv.notify_all();
+        return true;
+    }
+
+    /** Run unclaimed steps until @p ready() holds, else sleep on it. */
+    template <typename Ready>
+    void
+    waitFor(std::unique_lock<std::mutex>& lk, Ready ready)
+    {
+        while (!ready() && runNext(lk)) {
+        }
+        // Only the waiting manager launches steps: none left to claim
+        // means none will appear while it sleeps.
+        done_cv.wait(lk, ready);
+    }
+};
+
 AsyncFleetEngine::AsyncFleetEngine(Fleet& fleet, AsyncOptions options)
     : fleet_(fleet),
       options_(std::move(options)),
       faults_(options_.faults, options_.fault_seed),
       workers_(options_.workers),
       nodes_(fleet.nodeCount()),
-      quarantine_(fleet.nodeCount(), 0)
+      quarantine_(fleet.nodeCount(), 0),
+      steps_(std::make_shared<StepQueue>())
 {
     CLITE_CHECK(options_.workers >= 1, "need at least one worker");
     CLITE_CHECK(options_.task_cost > 0.0, "task_cost must be positive");
@@ -34,6 +113,12 @@ AsyncFleetEngine::AsyncFleetEngine(Fleet& fleet, AsyncOptions options)
     CLITE_CHECK(options_.degrade_below >= 0.0 &&
                     options_.degrade_below <= 1.0,
                 "degrade_below must be a fraction");
+    steps_->run_step = [this](size_t n) {
+        const LcTally before = tallyNode(n);
+        fleet_.stepNode(n);
+        const LcTally after = tallyNode(n);
+        return LcTally{after.total - before.total, after.met - before.met};
+    };
 }
 
 double
@@ -100,18 +185,41 @@ AsyncFleetEngine::windowsCommitted(size_t n) const
     return nodes_[n].committed;
 }
 
+AsyncFleetEngine::LcTally
+AsyncFleetEngine::tallyNode(size_t n) const
+{
+    LcTally t;
+    for (const platform::JobObservation& ob : fleet_.nodes_[n].truth)
+        if (ob.is_lc) {
+            ++t.total;
+            if (ob.qosMet())
+                ++t.met;
+        }
+    return t;
+}
+
+AsyncFleetEngine::LcTally
+AsyncFleetEngine::fleetTally() const
+{
+    LcTally sum;
+    for (size_t n = 0; n < nodes_.size(); ++n) {
+        const LcTally t = tallyNode(n);
+        sum.total += t.total;
+        sum.met += t.met;
+    }
+    return sum;
+}
+
+double
+AsyncFleetEngine::metFraction(LcTally t)
+{
+    return t.total > 0 ? double(t.met) / double(t.total) : 1.0;
+}
+
 double
 AsyncFleetEngine::qosMetFraction() const
 {
-    int lc_total = 0, lc_met = 0;
-    for (const Fleet::Node& node : fleet_.nodes_)
-        for (const platform::JobObservation& ob : node.truth)
-            if (ob.is_lc) {
-                ++lc_total;
-                if (ob.qosMet())
-                    ++lc_met;
-            }
-    return lc_total > 0 ? double(lc_met) / lc_total : 1.0;
+    return metFraction(fleetTally());
 }
 
 double
@@ -126,6 +234,13 @@ AsyncFleetEngine::meanBgPerf() const
                 sum += ob.perfNorm();
             }
     return bg_total > 0 ? sum / bg_total : 0.0;
+}
+
+bool
+AsyncFleetEngine::queued(uint64_t id) const
+{
+    const auto it = tasks_.find(id);
+    return it != tasks_.end() && it->second.state == TaskState::Queued;
 }
 
 void
@@ -173,24 +288,21 @@ AsyncFleetEngine::dispatch()
         // capacity is left. Shed windows are consumed (counted, paced
         // at the window cadence), never silently lost.
         for (uint64_t id : queue_.dropNormal()) {
-            TaskRec& rec = tasks_.at(id);
-            if (rec.state != TaskState::Queued)
+            if (!queued(id))
                 continue; // lazily cancelled earlier
-            rec.state = TaskState::Dropped;
-            dropLive(rec.task.node, id);
-            NodeCtl& ctl = nodes_[rec.task.node];
-            if (ctl.in_flight && ctl.epoch == rec.task.epoch &&
+            const WindowTask task = tasks_.at(id).task;
+            tasks_.erase(id);
+            dropLive(task.node, id);
+            NodeCtl& ctl = nodes_[task.node];
+            if (ctl.in_flight && ctl.epoch == task.epoch &&
                 ctl.live.empty()) {
                 ++metrics_.windows_dropped;
-                consumeWindow(rec.task.node, /*failed=*/false);
+                consumeWindow(task.node, /*failed=*/false);
             }
         }
     }
 
-    std::vector<size_t> exec_nodes;
-    const auto alive = [this](uint64_t id) {
-        return tasks_.at(id).state == TaskState::Queued;
-    };
+    const auto alive = [this](uint64_t id) { return queued(id); };
     while (workers_.findIdle() >= 0) {
         std::optional<uint64_t> id = queue_.pop(deg, alive);
         if (!id.has_value())
@@ -223,7 +335,7 @@ AsyncFleetEngine::dispatch()
             // (hedges, backups) deliver this result without re-running
             // it.
             ctl.executed = true;
-            exec_nodes.push_back(rec.task.node);
+            launchStep(rec.task.node);
         }
 
         const double duration = sampleDuration(rec.assignment);
@@ -244,12 +356,90 @@ AsyncFleetEngine::dispatch()
             schedule(now_ + options_.hedge_delay * options_.task_cost, h);
         }
     }
+}
 
-    // Fan the new node steps out on the deterministic pool: distinct
-    // nodes, index-owned state, bit-identical at any thread count.
-    if (!exec_nodes.empty())
-        globalPool().parallelForIndices(
-            exec_nodes, [this](size_t n) { fleet_.stepNode(n); });
+void
+AsyncFleetEngine::launchStep(size_t n)
+{
+    // A first or mix-change search seeds from the shared store. Read
+    // it now, in dispatch order: a later commit's put must neither
+    // race with the step nor show up in its result.
+    if (core::OnlineManager* manager = fleet_.nodes_[n].manager.get())
+        manager->prefetchWarmStart();
+    nodes_[n].step = launched_++;
+    {
+        std::lock_guard<std::mutex> lk(steps_->mutex);
+        StepQueue::Step step;
+        step.node = n;
+        steps_->steps.push_back(step);
+        ++steps_->open;
+    }
+    globalPool().submit([q = steps_] {
+        std::unique_lock<std::mutex> lk(q->mutex);
+        q->runNext(lk);
+    });
+}
+
+void
+AsyncFleetEngine::joinStep(uint64_t k)
+{
+    StepQueue& q = *steps_;
+    std::unique_lock<std::mutex> lk(q.mutex);
+    // A retired step finished without an error.
+    q.waitFor(lk, [&] { return k < q.first || q.at(k).done; });
+    if (k >= q.first && q.at(k).error)
+        std::rethrow_exception(q.at(k).error);
+}
+
+void
+AsyncFleetEngine::drainSteps()
+{
+    StepQueue& q = *steps_;
+    std::unique_lock<std::mutex> lk(q.mutex);
+    q.waitFor(lk, [&] { return q.open == 0; });
+}
+
+void
+AsyncFleetEngine::joinAllSteps()
+{
+    drainSteps();
+    retireSteps();
+}
+
+void
+AsyncFleetEngine::retireSteps()
+{
+    StepQueue& q = *steps_;
+    std::lock_guard<std::mutex> lk(q.mutex);
+    while (true) {
+        // A sample taken when `first` steps had been launched sees
+        // exactly those: record it before folding in the next one.
+        while (!pending_samples_.empty() &&
+               pending_samples_.front() == q.first) {
+            qos_history_.add(metFraction(fleet_tally_));
+            pending_samples_.pop_front();
+        }
+        if (q.steps.empty() || !q.steps.front().done)
+            return;
+        const StepQueue::Step& step = q.steps.front();
+        if (step.error)
+            std::rethrow_exception(step.error);
+        fleet_tally_.total += step.delta.total;
+        fleet_tally_.met += step.delta.met;
+        q.steps.pop_front();
+        ++q.first;
+    }
+}
+
+void
+AsyncFleetEngine::placeQueued()
+{
+    if (fleet_.queue_.empty())
+        return;
+    // Placement reads every node's last score and may host onto any
+    // of them.
+    joinAllSteps();
+    fleet_.placeQueued(&quarantine_);
 }
 
 void
@@ -339,6 +529,7 @@ AsyncFleetEngine::quarantineNode(size_t n)
     ctl.quarantined = true;
     quarantine_[n] = 1;
     ++metrics_.nodes_quarantined;
+    joinAllSteps();
     // Evict every hosted job back into the placement queue. No move is
     // charged: the node failed, not the job, so quarantine must never
     // push a job toward its parking budget.
@@ -352,7 +543,8 @@ AsyncFleetEngine::quarantineNode(size_t n)
         job.node = -1;
         fleet_.queue_.push_back(id);
     }
-    fleet_.placeQueued(&quarantine_);
+    fleet_tally_ = fleetTally();
+    placeQueued();
     activateNodes();
 }
 
@@ -361,21 +553,21 @@ AsyncFleetEngine::commit(TaskRec& rec)
 {
     const size_t n = rec.task.node;
     NodeCtl& ctl = nodes_[n];
+    joinStep(ctl.step);
     workers_.release(rec.worker);
-    rec.state = TaskState::Committed;
     ++metrics_.tasks_committed;
     if (rec.task.hedge)
         ++metrics_.hedges_won;
 
     // First result wins: cancel every sibling attempt of this window.
+    // A cancelled queued sibling is skipped lazily at pop; a running
+    // one's pending events find no record and do nothing.
     for (uint64_t sid : ctl.live) {
         if (sid == rec.task.id)
             continue;
-        TaskRec& sib = tasks_.at(sid);
-        if (sib.state == TaskState::Queued) {
-            sib.state = TaskState::Superseded; // skipped lazily at pop
-        } else if (sib.state == TaskState::Running) {
-            sib.state = TaskState::Superseded;
+        const TaskRec sib = tasks_.at(sid);
+        tasks_.erase(sid);
+        if (sib.state == TaskState::Running) {
             if (sib.doomed) {
                 // The loser's worker was going to die holding this
                 // task; cancellation doesn't save it. Account the
@@ -404,18 +596,25 @@ AsyncFleetEngine::commit(TaskRec& rec)
     if (ctl.remaining > 0)
         --ctl.remaining;
 
-    // The per-node slice of lockstep phase C: sample fleet QoS, teach
-    // the placement surrogate, publish the node's checkpoint, act on
-    // its infeasibility signal, then place whatever is queued.
-    qos_history_.add(qosMetFraction());
+    // The per-node slice of lockstep phase C: sample fleet QoS (over
+    // every step launched so far; recorded once they are all joined),
+    // teach the placement surrogate, publish the node's checkpoint,
+    // act on its infeasibility signal, then place whatever is queued.
+    pending_samples_.push_back(launched_);
+    retireSteps();
     fleet_.scheduler_.recordNode(fleet_.snapshot(n));
     Fleet::Node& node = fleet_.nodes_[n];
     if (fleet_.options_.shared_store && node.initialized &&
         node.server != nullptr)
         fleet_.store_.put(node.manager->makeCheckpoint());
-    FleetWindow scratch;
-    fleet_.rescheduleNode(n, scratch, &quarantine_);
-    fleet_.placeQueued(&quarantine_);
+    if (fleet_.reportsInfeasible(n)) {
+        // Evictions re-place jobs onto other nodes.
+        joinAllSteps();
+        FleetWindow scratch;
+        fleet_.rescheduleNode(n, scratch, &quarantine_);
+        fleet_tally_ = fleetTally();
+    }
+    placeQueued();
     // activateNodes() re-enqueues this node's next window too (it now
     // passes the same guard as any idle node) — it must be the ONLY
     // re-enqueue path, or the epoch gets two competing window tasks.
@@ -425,46 +624,44 @@ AsyncFleetEngine::commit(TaskRec& rec)
 void
 AsyncFleetEngine::onComplete(uint64_t id)
 {
-    TaskRec& rec = tasks_.at(id);
-    if (rec.state != TaskState::Running)
+    const auto it = tasks_.find(id);
+    if (it == tasks_.end())
         return; // superseded while in flight; worker already handled
+    TaskRec& rec = it->second;
     NodeCtl& ctl = nodes_[rec.task.node];
     if (!ctl.in_flight || ctl.epoch != rec.task.epoch) {
         // Stale attempt of an already-resolved window that escaped the
         // sibling cancellation (defense in depth): release its worker,
         // never commit it.
-        rec.state = TaskState::Superseded;
         workers_.release(rec.worker);
         if (rec.task.hedge)
             ++metrics_.hedges_cancelled;
         else
             ++metrics_.stale_results;
-        return;
-    }
-    if (rec.failing) {
-        rec.state = TaskState::Failed;
+    } else if (rec.failing) {
         workers_.release(rec.worker);
         ++metrics_.task_failures;
         faults_.record(platform::FaultKind::TaskFailure, rec.task.epoch,
                        rec.task.node);
         dropLive(rec.task.node, id);
         retryOrFail(rec);
-        return;
+    } else {
+        commit(rec);
     }
-    commit(rec);
+    tasks_.erase(it);
 }
 
 void
 AsyncFleetEngine::onLease(uint64_t id)
 {
-    TaskRec& rec = tasks_.at(id);
-    if (rec.state != TaskState::Running)
+    const auto it = tasks_.find(id);
+    if (it == tasks_.end() || it->second.state != TaskState::Running)
         return; // resolved before the lease ran out
+    TaskRec& rec = it->second;
     ++metrics_.lease_expiries;
     if (rec.doomed) {
         // The worker died holding the task; the lease is how the
         // manager finds out. Reclaim and resubmit.
-        rec.state = TaskState::Lost;
         workers_.kill(rec.worker);
         ++metrics_.workers_lost;
         faults_.record(platform::FaultKind::WorkerLoss, rec.task.id,
@@ -472,6 +669,7 @@ AsyncFleetEngine::onLease(uint64_t id)
         maybeRejoin(rec);
         dropLive(rec.task.node, id);
         retryOrFail(rec);
+        tasks_.erase(it);
     } else {
         // Spurious expiry on a straggler: the attempt keeps running
         // (it may still win) while a backup enters the queue.
@@ -482,9 +680,11 @@ AsyncFleetEngine::onLease(uint64_t id)
 void
 AsyncFleetEngine::onHedge(uint64_t id)
 {
-    TaskRec& rec = tasks_.at(id);
-    if (!options_.hedging || rec.state != TaskState::Running || rec.hedged)
+    const auto it = tasks_.find(id);
+    if (!options_.hedging || it == tasks_.end() ||
+        it->second.state != TaskState::Running || it->second.hedged)
         return;
+    TaskRec& rec = it->second;
     NodeCtl& ctl = nodes_[rec.task.node];
     if (!ctl.in_flight || ctl.epoch != rec.task.epoch)
         return;
@@ -525,13 +725,12 @@ AsyncFleetEngine::onReplenish(size_t node)
         enqueueTask(node);
 }
 
-const FleetMetrics&
-AsyncFleetEngine::run(int epochs)
+void
+AsyncFleetEngine::drive(int epochs)
 {
-    CLITE_CHECK(epochs >= 1, "run() needs at least one epoch");
     for (NodeCtl& ctl : nodes_)
         ctl.remaining = epochs;
-    fleet_.placeQueued(&quarantine_);
+    placeQueued();
     activateNodes();
     dispatch();
 
@@ -558,17 +757,15 @@ AsyncFleetEngine::run(int epochs)
         }
         dispatch();
     }
+    joinAllSteps();
 
     // A drained event heap with tasks still queued means every worker
     // is permanently dead: nothing can ever dispatch again. Shed the
     // backlog visibly rather than pretending the run finished.
-    const auto alive = [this](uint64_t id) {
-        return tasks_.at(id).state == TaskState::Queued;
-    };
+    const auto alive = [this](uint64_t id) { return queued(id); };
     bool stalled = false;
     while (std::optional<uint64_t> id = queue_.pop(false, alive)) {
-        TaskRec& rec = tasks_.at(*id);
-        rec.state = TaskState::Dropped;
+        tasks_.erase(*id);
         ++metrics_.windows_dropped;
         stalled = true;
     }
@@ -581,6 +778,21 @@ AsyncFleetEngine::run(int epochs)
             ctl.attempts_started = 0;
             ctl.remaining = 0;
         }
+    }
+}
+
+const FleetMetrics&
+AsyncFleetEngine::run(int epochs)
+{
+    CLITE_CHECK(epochs >= 1, "run() needs at least one epoch");
+    // Every step of an earlier run is joined: count from scratch.
+    fleet_tally_ = fleetTally();
+    try {
+        drive(epochs);
+    } catch (...) {
+        // No pool job may outlive run() holding the fleet.
+        drainSteps();
+        throw;
     }
 
     // Refit observability: node managers count cumulatively since

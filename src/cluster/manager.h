@@ -39,22 +39,43 @@
  *    nodes are shed (counted, never silently) instead of stalling the
  *    critical ones.
  *
+ * Real compute is pipelined: when dispatch() hands a window's first
+ * healthy attempt to a worker slot, that node's observe→fit→acquire
+ * step starts on the global thread pool in the background, and the
+ * manager moves on. It waits for a step only where the step's result
+ * is read:
+ *
+ *  - a commit waits for its own node's step;
+ *  - anything that touches another node — an eviction, a placement
+ *    from a non-empty queue, a quarantine — first waits for every
+ *    step in flight (placement reads every node's last score, and
+ *    hostJob's pre-warm broadcast needs an idle pool);
+ *  - run() returns only once every step has been joined.
+ *
+ * While it waits, the manager runs unclaimed steps itself, oldest
+ * first, like any pool worker.
+ *
  * Determinism: the engine is a discrete-event simulation over virtual
  * time. Task durations, worker deaths and task failures are pure
  * counter-keyed hashes of the seed; events are ordered by (time,
- * sequence number); and the real CPU work of each window runs on the
- * deterministic global thread pool with per-node state isolation. A
- * run is therefore bit-reproducible given (options, seed, worker
- * count) at ANY CLITE_THREADS setting, and the lockstep mode —
- * byte-identical to before — remains available for the determinism
- * goldens.
+ * sequence number); and a node step touches only its own node. Two
+ * reads are pinned to the manager's event order rather than to when
+ * a step happens to run: the warm-start store lookup of a first or
+ * mix-change search is made at dispatch, on the manager thread; and
+ * each commit's fleet QoS sample covers exactly the steps launched
+ * before that commit, finalized once they have all been joined. A run
+ * is therefore bit-reproducible given (options, seed, worker count)
+ * at ANY CLITE_THREADS setting, and the lockstep mode remains
+ * available for the determinism goldens.
  */
 
 #ifndef CLITE_CLUSTER_MANAGER_H
 #define CLITE_CLUSTER_MANAGER_H
 
 #include <cstdint>
+#include <deque>
 #include <map>
+#include <memory>
 #include <queue>
 #include <vector>
 
@@ -166,12 +187,19 @@ class AsyncFleetEngine
      */
     explicit AsyncFleetEngine(Fleet& fleet, AsyncOptions options = {});
 
+    // Node steps running on the pool call back into this object.
+    AsyncFleetEngine(const AsyncFleetEngine&) = delete;
+    AsyncFleetEngine& operator=(const AsyncFleetEngine&) = delete;
+
     /**
      * Drive every serviceable node through @p epochs more observation
      * windows. Queued jobs are placed at the start and at every
      * commit; nodes occupied mid-run join the cadence with whatever
      * window budget they have left. Returns when every window is
-     * committed, failed, or shed.
+     * committed, failed, or shed, and every node step has finished.
+     * An exception thrown by a node step is rethrown here, on the
+     * calling thread, after every other step has finished; the engine
+     * and its fleet are not usable afterwards.
      */
     const FleetMetrics& run(int epochs);
 
@@ -214,6 +242,13 @@ class AsyncFleetEngine
     /** The fault injector (for tests: injected event log). */
     const platform::FaultInjector& faults() const { return faults_; }
 
+    /**
+     * Attempt records held: queued or running attempts only (a record
+     * is dropped once it commits, fails, is lost, superseded or shed),
+     * so zero between run() calls.
+     */
+    size_t trackedTasks() const { return tasks_.size(); }
+
   private:
     /** One attempt's authoritative record. */
     struct TaskRec
@@ -235,7 +270,8 @@ class AsyncFleetEngine
         uint64_t committed = 0;    ///< Windows committed so far.
         int remaining = 0;         ///< Windows left this run.
         bool in_flight = false;    ///< Current window queued/running.
-        bool executed = false;     ///< Current window's step has run.
+        bool executed = false;     ///< Current window's step launched.
+        uint64_t step = 0;         ///< Its launch number (if executed).
         int attempts_started = 0;  ///< Attempts of the current window.
         int failure_streak = 0;    ///< Consecutive failed windows.
         bool quarantined = false;
@@ -243,6 +279,16 @@ class AsyncFleetEngine
         bool replenish_scheduled = false;
         std::vector<uint64_t> live; ///< Commit-eligible attempt ids.
     };
+
+    /** LC jobs in ground truth and how many met QoS (or a change). */
+    struct LcTally
+    {
+        int64_t total = 0;
+        int64_t met = 0;
+    };
+
+    /** Launched node steps shared with the pool jobs running them. */
+    struct StepQueue;
 
     /** A scheduled engine event. */
     struct Event
@@ -271,14 +317,51 @@ class AsyncFleetEngine
     /** Is the pool scarce enough for critical-only dispatch? */
     bool degraded() const;
 
+    /** Is @p id a queued attempt (not dispatched, cancelled or shed)? */
+    bool queued(uint64_t id) const;
+
     /** Serialize node @p n's next window into the queue. */
     void enqueueTask(size_t n);
 
     /** Re-enqueue pending windows of idle serviceable nodes. */
     void activateNodes();
 
-    /** Fill idle workers from the queue; execute new steps. */
+    /** Fill idle workers from the queue; launch new node steps. */
     void dispatch();
+
+    /** Start node @p n's window step in the background. */
+    void launchStep(size_t n);
+
+    /** Wait for step @p k, running unclaimed steps meanwhile. */
+    void joinStep(uint64_t k);
+
+    /** Wait for every launched step, without rethrowing. */
+    void drainSteps();
+
+    /** drainSteps(), then retireSteps(). */
+    void joinAllSteps();
+
+    /**
+     * Fold finished steps into fleet_tally_ in launch order, recording
+     * each pending per-commit sample once exactly the steps launched
+     * before its commit are folded. Rethrows a step's exception.
+     */
+    void retireSteps();
+
+    /** Node @p n's contribution to the fleet QoS fraction. */
+    LcTally tallyNode(size_t n) const;
+
+    /** Sum of tallyNode() over the fleet. */
+    LcTally fleetTally() const;
+
+    /** met / total, or 1 when no LC job is placed. */
+    static double metFraction(LcTally t);
+
+    /** Place queued jobs (after joining every step, if any are queued). */
+    void placeQueued();
+
+    /** Event loop of run(): place, dispatch, drain, shed a stall. */
+    void drive(int epochs);
 
     /** A task's result arrived (or its scripted failure did). */
     void onComplete(uint64_t id);
@@ -319,6 +402,7 @@ class AsyncFleetEngine
     WorkerPool workers_;
     TaskQueue queue_;
 
+    /** Live attempts only; records are erased when they resolve. */
     std::map<uint64_t, TaskRec> tasks_;
     std::vector<NodeCtl> nodes_;
     std::vector<char> quarantine_; ///< Placement mask (1 = barred).
@@ -327,6 +411,15 @@ class AsyncFleetEngine
 
     FleetMetrics metrics_;
     stats::RunningStats qos_history_;
+
+    std::shared_ptr<StepQueue> steps_;
+    uint64_t launched_ = 0; ///< Node steps launched so far.
+    /** Per-commit QoS samples not yet recorded: each the launch count
+     *  at its commit (the steps it must see, and no more). */
+    std::deque<uint64_t> pending_samples_;
+    /** fleetTally() as of the retired steps. */
+    LcTally fleet_tally_;
+
     double now_ = 0.0;
     uint64_t next_task_id_ = 0;
     uint64_t next_seq_ = 0;

@@ -74,13 +74,22 @@ ThreadPool::~ThreadPool()
 }
 
 void
-ThreadPool::submit(std::function<void()> job)
+ThreadPool::enqueue(std::function<void()> job)
 {
     {
         std::lock_guard<std::mutex> lk(mutex_);
         queue_.push(std::move(job));
     }
     cv_.notify_one();
+}
+
+void
+ThreadPool::submit(std::function<void()> job)
+{
+    if (threads_ <= 1)
+        job();
+    else
+        enqueue(std::move(job));
 }
 
 void
@@ -119,7 +128,7 @@ ThreadPool::parallelFor(size_t n, const std::function<void(size_t)>& fn)
     if (helpers > n - 1)
         helpers = n - 1;
     for (size_t h = 0; h < helpers; ++h)
-        submit([state] { state->run(); });
+        enqueue([state] { state->run(); });
 
     // The caller claims indices too, then waits for stragglers.
     state->run();
@@ -176,7 +185,7 @@ ThreadPool::broadcast(const std::function<void()>& fn)
     };
     auto rv = std::make_shared<Rendezvous>();
     for (int h = 0; h < helpers; ++h) {
-        submit([rv, &fn, helpers] {
+        enqueue([rv, &fn, helpers] {
             try {
                 fn();
             } catch (...) {
@@ -198,13 +207,6 @@ ThreadPool::broadcast(const std::function<void()>& fn)
     rv->done_cv.wait(lk, [&] { return rv->finished >= helpers; });
     if (rv->error)
         std::rethrow_exception(rv->error);
-}
-
-void
-ThreadPool::parallelForIndices(const std::vector<size_t>& indices,
-                               const std::function<void(size_t)>& fn)
-{
-    parallelFor(indices.size(), [&](size_t i) { fn(indices[i]); });
 }
 
 int

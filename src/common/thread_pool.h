@@ -16,6 +16,12 @@
  * work, so nested calls (a parallel sweep whose cells run a parallel
  * BO loop) complete even when every worker is busy — helper tasks that
  * never get scheduled find the index range exhausted and exit.
+ *
+ * submit() is the one non-blocking entry point: the async fleet
+ * engine hands each node step to the workers with it and waits only
+ * where it needs the result. Determinism is then the submitter's
+ * contract: a submitted job must own the state it writes, and the
+ * submitter must join it before reading that state.
  */
 
 #ifndef CLITE_COMMON_THREAD_POOL_H
@@ -77,15 +83,14 @@ class ThreadPool
                             const std::function<void(size_t, size_t)>& fn);
 
     /**
-     * Sparse sibling of parallelFor: run fn(indices[0]) ...
-     * fn(indices[k-1]) for an arbitrary index set. The async fleet
-     * engine uses this to fan out the node steps of one dispatch
-     * round — a scattered subset of the node array. Same determinism
-     * contract, per element: fn(i) writes only state owned by i
-     * (indices must therefore be distinct).
+     * Hand @p job to the workers and return at once. With
+     * threadCount() == 1 there are no workers, so the job runs inline
+     * before submit() returns. The job must not throw (a worker has
+     * no caller to rethrow to; catch inside it), and whatever it
+     * shares with the submitter must outlive it — hold it by
+     * shared_ptr, as parallelFor's helpers do.
      */
-    void parallelForIndices(const std::vector<size_t>& indices,
-                            const std::function<void(size_t)>& fn);
+    void submit(std::function<void()> job);
 
     /**
      * Run @p fn exactly once on every worker thread AND the caller —
@@ -123,8 +128,8 @@ class ThreadPool
     static int defaultThreadCount();
 
   private:
-    /** Enqueue a job for the workers (no-op target when threads_==1). */
-    void submit(std::function<void()> job);
+    /** Enqueue a job for the workers (threads_ > 1 only). */
+    void enqueue(std::function<void()> job);
 
     void workerLoop();
 

@@ -72,7 +72,7 @@ OnlineManager::recordWindowQos(
 const ControllerResult&
 OnlineManager::initialize()
 {
-    WarmStart warm = lookupWarmStart();
+    WarmStart warm = takeWarmStart();
     last_result_ =
         warm.empty() ? clite_.run(server_) : clite_.runWarm(server_, warm);
     accumulateSearchStats();
@@ -113,6 +113,23 @@ OnlineManager::lookupWarmStart()
         }
     }
     return {};
+}
+
+void
+OnlineManager::prefetchWarmStart()
+{
+    if (store_ != nullptr && (!last_result_.has_value() || mix_changed_))
+        prefetched_warm_ = lookupWarmStart();
+}
+
+WarmStart
+OnlineManager::takeWarmStart()
+{
+    if (!prefetched_warm_.has_value())
+        return lookupWarmStart();
+    WarmStart warm = std::move(*prefetched_warm_);
+    prefetched_warm_.reset();
+    return warm;
 }
 
 store::Snapshot
@@ -224,7 +241,7 @@ OnlineManager::reoptimize(const std::string& reason, bool mix_changed)
         // The store may already know the NEW mix (a recurring
         // co-location): its prior configurations join the adapted
         // incumbent in the bootstrap.
-        WarmStart warm = lookupWarmStart();
+        WarmStart warm = takeWarmStart();
         if (seed.has_value())
             last_result_ = warm.empty()
                                ? clite_.reoptimize(server_, *seed)
@@ -531,12 +548,14 @@ OnlineManager::notifyMixChange()
 {
     mix_changed_ = true;
     removed_job_.reset();
+    prefetched_warm_.reset();
 }
 
 void
 OnlineManager::notifyJobRemoved(size_t server_index)
 {
     mix_changed_ = true;
+    prefetched_warm_.reset();
     // Only a single removal since the last search can be seeded; a
     // second structural change invalidates the remembered index.
     removed_job_ = removed_job_.has_value() ? std::optional<size_t>{}

@@ -316,6 +316,19 @@ class OnlineManager
     /** The attached profile store (nullptr when none). */
     store::ProfileStore* profileStore() const { return store_; }
 
+    /**
+     * Do the store lookup of the next search now, on the calling
+     * thread, and keep its result for that search. initialize() and a
+     * mix-change tick() seed from the store; a caller that runs them
+     * on another thread while it writes the store itself (the async
+     * fleet engine) resolves the read here first, at a point of its
+     * choosing. Without a prefetch the search looks the store up
+     * itself; a mix change notified after the prefetch discards it.
+     * No-op without a store or when the next step runs no
+     * store-seeded search.
+     */
+    void prefetchWarmStart();
+
   private:
     /** put(makeCheckpoint()) when a store is attached (auto mode). */
     void checkpoint();
@@ -325,6 +338,9 @@ class OnlineManager
      * WarmStart (empty when nothing usable is stored).
      */
     WarmStart lookupWarmStart();
+
+    /** The prefetched lookup (consumed) if any, else a fresh one. */
+    WarmStart takeWarmStart();
     /** Record the per-LC-job reference rates of the incumbent. */
     void captureReference();
 
@@ -361,6 +377,7 @@ class OnlineManager
     MonitorOptions options_;
     store::ProfileStore* store_ = nullptr;
     const char* warm_source_ = "cold";
+    std::optional<WarmStart> prefetched_warm_;
     bool last_window_qos_met_ = false;
 
     std::optional<ControllerResult> last_result_;

@@ -13,20 +13,13 @@
  * the numerics — kernels, score, model, search — shows up as a diff,
  * down to one ULP in a GP kernel.
  *
- * Regenerating after an INTENDED numerical change:
- *
- *     CLITE_REGEN_GOLDEN=1 ./tests/test_bench
- *
- * rewrites the golden files in the source tree (the build knows the
- * path via the CLITE_GOLDEN_DIR compile definition); commit the diff
- * together with the change that caused it.
+ * Regenerating after an INTENDED numerical change is described in
+ * golden.h.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
-#include <cstdlib>
-#include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -40,22 +33,11 @@
 #include "harness/schemes.h"
 #include "workloads/catalog.h"
 
-#ifndef CLITE_GOLDEN_DIR
-#error "CLITE_GOLDEN_DIR must point at tests/bench/golden"
-#endif
+#include "golden.h"
 
 namespace clite {
 namespace harness {
 namespace {
-
-std::string
-g17(double v)
-{
-    // Full double precision: pins a value to the last ULP.
-    char buf[40];
-    std::snprintf(buf, sizeof(buf), "%.17g", v);
-    return buf;
-}
 
 std::string
 g(double v)
@@ -68,29 +50,8 @@ g(double v)
     return buf;
 }
 
-/** Compare @p trace to the golden file, or rewrite it under regen. */
-void
-checkGolden(const std::string& name, const std::string& trace)
-{
-    const std::string path =
-        std::string(CLITE_GOLDEN_DIR) + "/" + name + ".txt";
-    if (std::getenv("CLITE_REGEN_GOLDEN") != nullptr) {
-        std::ofstream out(path);
-        ASSERT_TRUE(out.good()) << "cannot write " << path;
-        out << trace;
-        GTEST_SKIP() << "regenerated " << path;
-    }
-    std::ifstream in(path);
-    ASSERT_TRUE(in.good())
-        << "missing golden " << path
-        << " (run with CLITE_REGEN_GOLDEN=1 to create it)";
-    std::stringstream buf;
-    buf << in.rdbuf();
-    EXPECT_EQ(buf.str(), trace)
-        << "trace diverged from " << path << ". If the numerical "
-        << "change is intended, regenerate with CLITE_REGEN_GOLDEN=1 "
-        << "and commit the new golden.";
-}
+using golden::checkGolden;
+using golden::g17;
 
 TEST(GoldenTrace, Fig06IsolatedKneeSweep)
 {

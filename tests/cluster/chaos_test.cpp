@@ -412,6 +412,65 @@ TEST(AsyncEngine, TotalWorkerLossStallsVisiblyWithoutJobLoss)
 }
 
 // ---------------------------------------------------------------------
+// Bookkeeping bounds and error propagation
+// ---------------------------------------------------------------------
+
+TEST(AsyncEngine, RegistryKeepsOnlyLiveAttempts)
+{
+    // Every attempt record is dropped once it commits, fails, is lost,
+    // superseded or shed, so the registry is empty between runs however
+    // many attempts a run made — memory does not grow with run length.
+    Fleet fleet(fastFleet(4));
+    admitMix(fleet);
+    AsyncOptions o;
+    o.workers = 4;
+    o.max_retries = 6;
+    o.straggler_prob = 0.2;
+    o.straggler_factor = 10.0;
+    o.hedge_delay = 2.0;
+    o.faults.worker_loss_prob = 0.15;
+    o.faults.task_fail_prob = 0.05;
+    AsyncFleetEngine engine(fleet, o);
+    const FleetMetrics& m = engine.run(6);
+    ASSERT_GT(m.tasks_dispatched, m.tasks_committed)
+        << "the run must resolve attempts other than by committing";
+    EXPECT_EQ(engine.trackedTasks(), 0u);
+    engine.run(6);
+    EXPECT_EQ(engine.trackedTasks(), 0u);
+
+    // A stalled run sheds its backlog: those records go too.
+    Fleet stalled(fastFleet(2));
+    admitMix(stalled);
+    AsyncOptions dead;
+    dead.workers = 2;
+    for (size_t w = 0; w < 2; ++w) {
+        platform::FaultPlan::WorkerDeath death;
+        death.at_assignment = 4;
+        death.worker = w;
+        dead.faults.worker_deaths.push_back(death);
+    }
+    AsyncFleetEngine stalled_engine(stalled, dead);
+    ASSERT_TRUE(stalled_engine.run(8).stalled);
+    EXPECT_EQ(stalled_engine.trackedTasks(), 0u);
+}
+
+TEST(AsyncEngine, NodeStepExceptionSurfacesFromRun)
+{
+    // Node steps run on pool workers; an exception thrown by one must
+    // reach run()'s caller, not terminate a worker thread.
+    for (int threads : {1, 4}) {
+        setGlobalThreadCount(threads);
+        FleetOptions fo = fastFleet(3);
+        fo.clite.kernel = "no-such-kernel"; // throws inside the search
+        Fleet fleet(fo);
+        admitMix(fleet);
+        AsyncFleetEngine engine(fleet, AsyncOptions{});
+        EXPECT_THROW(engine.run(2), Error) << threads << " threads";
+    }
+    setGlobalThreadCount(ThreadPool::defaultThreadCount());
+}
+
+// ---------------------------------------------------------------------
 // Lockstep coexistence
 // ---------------------------------------------------------------------
 

@@ -2,14 +2,17 @@
  * @file
  * Tests for the deterministic thread pool: full index coverage,
  * bit-identical results regardless of pool size and completion order,
- * reentrancy (nested parallelFor), and exception propagation.
+ * reentrancy (nested parallelFor), exception propagation, and
+ * non-blocking submit().
  */
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <condition_variable>
+#include <memory>
+#include <mutex>
 #include <stdexcept>
 #include <vector>
 
@@ -132,23 +135,38 @@ TEST(ThreadPool, GlobalPoolOverride)
     EXPECT_EQ(globalPool().threadCount(), 1);
 }
 
-TEST(ThreadPool, IndicesVariantCoversExactlyTheGivenSet)
+TEST(ThreadPool, SubmitRunsInlineWhenSerialAndInTheBackgroundOtherwise)
 {
-    // The sparse fan-out used by the async fleet engine: a scattered
-    // subset of distinct indices, each visited exactly once, results
-    // written only to index-owned slots.
-    ThreadPool pool(4);
-    std::vector<size_t> indices = {7, 1, 12, 3, 9};
-    std::vector<int> hits(16, 0);
-    pool.parallelForIndices(indices,
-                            [&](size_t i) { hits[i] += 1; });
-    for (size_t i = 0; i < hits.size(); ++i) {
-        bool expected = std::find(indices.begin(), indices.end(), i) !=
-                        indices.end();
-        EXPECT_EQ(hits[i], expected ? 1 : 0) << "index " << i;
-    }
-    // Empty set is a no-op, not an error.
-    pool.parallelForIndices({}, [&](size_t i) { hits.at(i) += 100; });
+    // A serial pool has no worker to hand the job to: it runs before
+    // submit() returns.
+    ThreadPool serial(1);
+    bool ran = false;
+    serial.submit([&] { ran = true; });
+    EXPECT_TRUE(ran);
+
+    // A parallel pool returns at once and a worker runs the job: the
+    // job blocks until the caller releases it, which would deadlock
+    // were submit() to run it inline.
+    ThreadPool pool(2);
+    struct Shared
+    {
+        std::mutex mutex;
+        std::condition_variable cv;
+        bool released = false;
+        bool done = false;
+    };
+    auto shared = std::make_shared<Shared>();
+    pool.submit([shared] {
+        std::unique_lock<std::mutex> lk(shared->mutex);
+        shared->cv.wait(lk, [&] { return shared->released; });
+        shared->done = true;
+        shared->cv.notify_all();
+    });
+    std::unique_lock<std::mutex> lk(shared->mutex);
+    shared->released = true;
+    shared->cv.notify_all();
+    shared->cv.wait(lk, [&] { return shared->done; });
+    EXPECT_TRUE(shared->done);
 }
 
 } // namespace

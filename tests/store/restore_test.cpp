@@ -187,6 +187,35 @@ TEST(ManagerStore, MixChangeConsultsTheStoreForTheNewMix)
     EXPECT_EQ(std::string(manager.warmSource()), "exact");
 }
 
+TEST(ManagerStore, PrefetchedLookupIsUsedAndALaterMixChangeDiscardsIt)
+{
+    // The store read of a search can be made ahead of it (the async
+    // fleet engine makes it at dispatch): a checkpoint written between
+    // the read and the search does not reach that search.
+    ProfileStore store;
+    auto server = makeServer(mixA(), 6);
+    core::OnlineManager manager(server, fastClite(2), {}, &store);
+    manager.prefetchWarmStart(); // the store is still empty
+    auto teacher = makeServer(mixA(), 5);
+    core::OnlineManager(teacher, fastClite(1), {}, &store).initialize();
+    ASSERT_EQ(store.size(), 1u);
+    manager.initialize();
+    EXPECT_EQ(std::string(manager.warmSource()), "cold");
+
+    // A mix change notified after the read discards it: the search
+    // looks the store up itself and finds the prior taught meanwhile.
+    std::vector<workloads::JobSpec> four = mixA();
+    four.push_back(workloads::bgJob("canneal"));
+    server.addJob(workloads::bgJob("canneal"));
+    manager.notifyMixChange();
+    manager.prefetchWarmStart(); // nothing stored for four jobs yet
+    auto teacher4 = makeServer(four, 7);
+    core::OnlineManager(teacher4, fastClite(3), {}, &store).initialize();
+    manager.notifyMixChange();
+    EXPECT_TRUE(manager.tick().reoptimized);
+    EXPECT_EQ(std::string(manager.warmSource()), "exact");
+}
+
 TEST(ManagerStore, CrashRecaptureUnderFaultsRestoresFromCheckpoint)
 {
     // The fault-tolerant loop keeps checkpointing through glitchy
