@@ -1,7 +1,7 @@
 /**
  * @file
  * Fleet scaling sweep: QoS-met fraction, BG performance and
- * scheduling activity as the cluster grows — in both fleet engines.
+ * scheduling activity as the cluster grows — on both fleet schedules.
  *
  * Every fleet size runs the same admission pressure per node (two
  * jobs per node, ~60% latency-critical, including a slice of hot
@@ -12,16 +12,16 @@
  *
  * Two modes run side by side:
  *
- *  - **lockstep** (Fleet::tick): the barrier-synchronized window loop,
- *    swept to 64 nodes — the determinism-golden configuration.
- *  - **async** (AsyncFleetEngine): the manager-worker engine with its
- *    default chaos (stragglers + hedging) plus a 5% worker-loss rate,
- *    swept to 1024 nodes — no barrier, so one slow node never stalls
- *    the fleet, and the robustness counters (retries, hedges,
- *    quarantines, sheds) are reported per point.
+ *  - **lockstep** (Fleet::tick): one fault-free engine epoch per
+ *    window, a barrier at its end, swept to 64 nodes.
+ *  - **async** (a long-lived AsyncFleetEngine): jittered durations
+ *    with the default chaos (stragglers + hedging) plus a 5%
+ *    worker-loss rate, swept to 1024 nodes — no barrier, so one slow
+ *    node never stalls the fleet, and the robustness counters
+ *    (retries, hedges, quarantines, sheds) are reported per point.
  *
- * Wall time per window fans node evaluations out on the global thread
- * pool (--threads=N, bit-identical results at any worker count).
+ * Wall time per window runs node steps on the global thread pool
+ * (--threads=N, bit-identical results at any worker count).
  *
  * With CLITE_FLEET_JSON=<path> the per-size series is also written as
  * JSON (like BENCH_components.json for the component benchmarks), so

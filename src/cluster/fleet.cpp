@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <sstream>
 
+#include "cluster/manager.h"
 #include "common/arena.h"
 #include "common/error.h"
 #include "common/log.h"
@@ -201,8 +202,8 @@ Fleet::hostJob(uint64_t id, size_t n)
         core::MonitorOptions monitor_options = options_.monitor;
         store::ProfileStore* store = nullptr;
         if (options_.shared_store) {
-            // Nodes READ the shared store from the pool (phase B);
-            // writes happen only in the fleet's serial phase C, so
+            // Node steps READ the shared store; writes happen only
+            // when the engine settles a commit, on its own thread, so
             // auto-checkpointing from pool threads is disabled.
             store = &store_;
             monitor_options.auto_checkpoint = false;
@@ -275,12 +276,6 @@ Fleet::stepNode(size_t n)
     Node& node = nodes_[n];
     node.searched = false;
     node.reoptimized = false;
-    if (node.server == nullptr) {
-        node.truth.clear();
-        node.truth_score = 0.0;
-        node.truth_qos = false;
-        return;
-    }
     if (!node.initialized) {
         node.manager->initialize();
         node.initialized = true;
@@ -354,77 +349,21 @@ Fleet::rescheduleNode(size_t n, FleetWindow& w,
 FleetWindow
 Fleet::tick()
 {
-    FleetWindow w;
+    // One epoch of the engine on the lockstep schedule: a worker per
+    // node, equal task durations and no hedges, so every occupied
+    // node's window completes at the same virtual time and settles as
+    // one batch, in node order.
+    AsyncOptions lockstep;
+    lockstep.workers = int(nodes_.size());
+    lockstep.task_jitter = 0.0;
+    lockstep.straggler_prob = 0.0;
+    lockstep.hedging = false;
+    AsyncFleetEngine engine(*this, lockstep);
+    engine.lockstep_ = true;
+    engine.run(1);
+
+    FleetWindow w = engine.window_;
     w.window = ++windows_;
-
-    // Phase A (serial): place queued jobs — new arrivals and evicted
-    // jobs a previous window could not re-place.
-    w.placed = placeQueued();
-
-    // Phase B (parallel): every node runs its observation window.
-    // stepNode(n) touches only node n's state, so the fan-out meets
-    // the pool's determinism contract. Nodes are claimed in contiguous
-    // blocks rather than one at a time: at fleet sizes well past the
-    // thread count this cuts task-claim traffic without hurting
-    // balance, and the per-thread scratch arenas warmed by a block's
-    // first window are reused by the rest of it.
-    {
-        ThreadPool& pool = globalPool();
-        const size_t threads = size_t(pool.threadCount());
-        const size_t grain =
-            std::max<size_t>(1, nodes_.size() / (threads * 4));
-        pool.parallelForBlocked(nodes_.size(), grain,
-                                [this](size_t begin, size_t end) {
-                                    for (size_t n = begin; n < end; ++n)
-                                        stepNode(n);
-                                });
-    }
-
-    // Phase C (serial): aggregate, learn, reschedule.
-    int lc_total = 0, lc_met = 0, bg_total = 0;
-    double bg_perf_sum = 0.0;
-    for (const Node& node : nodes_) {
-        if (node.searched)
-            ++w.reoptimizations;
-        if (node.reoptimized)
-            ++reoptimizations_;
-        for (const platform::JobObservation& ob : node.truth) {
-            if (ob.is_lc) {
-                ++lc_total;
-                if (ob.qosMet())
-                    ++lc_met;
-            } else {
-                ++bg_total;
-                bg_perf_sum += ob.perfNorm();
-            }
-        }
-    }
-    w.qos_met_fraction = lc_total > 0 ? double(lc_met) / lc_total : 1.0;
-    w.mean_bg_perf = bg_total > 0 ? bg_perf_sum / bg_total : 0.0;
-
-    {
-        std::vector<NodeSnapshot> snaps;
-        snaps.reserve(nodes_.size());
-        for (size_t n = 0; n < nodes_.size(); ++n)
-            snaps.push_back(snapshot(n));
-        scheduler_.recordWindow(snaps);
-    }
-
-    // Checkpoint collection (serial, node-index order): the only
-    // writer of the shared store. Runs before rescheduling so the
-    // mixes this window learned — including the evicting node's — are
-    // available to whichever node a re-placed job lands on.
-    if (options_.shared_store)
-        for (Node& node : nodes_)
-            if (node.initialized && node.server != nullptr)
-                store_.put(node.manager->makeCheckpoint());
-
-    // Rescheduling: act on the per-node infeasibility signal. A node
-    // whose search this window proved an LC job cannot meet QoS there
-    // evicts it.
-    for (size_t n = 0; n < nodes_.size(); ++n)
-        rescheduleNode(n, w);
-
     w.pending = int(queue_.size());
     for (const FleetJob& job : jobs_)
         if (job.state == JobState::Placed)

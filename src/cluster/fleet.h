@@ -4,30 +4,33 @@
  *
  * Fleet scales the reproduction from one server to a cluster: N
  * SimulatedServers, each wrapped in its own OnlineManager (the
- * steady-state per-node control loop), advanced in lockstep
- * observation windows. Each window:
+ * steady-state per-node control loop). The fleet owns the job
+ * registry, placement, eviction and the shared warm-start store;
+ * AsyncFleetEngine (cluster/manager.h) schedules the node windows.
+ * tick() is one engine epoch on the lockstep schedule:
  *
- *  1. **Admission (serial).** Queued jobs — new arrivals and evicted
- *     jobs awaiting rescheduling — are placed onto nodes by the
+ *  1. **Admission.** Queued jobs — new arrivals and evicted jobs
+ *     awaiting rescheduling — are placed onto nodes by the
  *     ClusterScheduler (best-fit on GP-predicted headroom, falling
  *     back to least-loaded). A job that fits nowhere stays queued;
  *     nothing is ever dropped.
- *  2. **Node windows (parallel).** Every occupied node runs one
- *     OnlineManager step (the initial search for fresh nodes, one
- *     monitoring tick otherwise) fanned out on the global thread
- *     pool. Node i's step touches only node i's state, so the fleet
- *     window is bit-identical to a serial run at any thread count —
- *     the same contract the BO hot path and figure sweeps rely on.
- *  3. **Rescheduling (serial).** A node whose search proved an LC job
- *     cannot be co-located there (QoS missed even at the
- *     maximum-allocation extremum — the paper's "schedule it
- *     elsewhere" signal, now acted on) evicts that job. The evicted
- *     job is placed onto another node with predicted headroom; both
- *     source and destination adapt through incumbent-seeded
- *     re-optimizations at their next window. A job evicted more than
- *     max_moves times (or infeasible even alone on a node) is parked:
- *     it stays in the registry, reported as unplaceable, rather than
- *     ping-ponging through the fleet.
+ *  2. **Node windows.** Every occupied node runs one OnlineManager
+ *     step (the initial search for fresh nodes, one monitoring tick
+ *     otherwise) on the global thread pool. Node i's step touches
+ *     only node i's state, so the window is bit-identical at any
+ *     thread count.
+ *  3. **Rescheduling.** The windows settle as one batch, in node
+ *     order. A node whose search proved an LC job cannot be
+ *     co-located there (QoS missed even at the maximum-allocation
+ *     extremum — the paper's "schedule it elsewhere" signal, now
+ *     acted on) evicts that job. The evicted job is placed onto
+ *     another node with predicted headroom; both source and
+ *     destination adapt through incumbent-seeded re-optimizations at
+ *     their next window (an empty destination runs its first window
+ *     in the same tick). A job evicted more than max_moves times (or
+ *     infeasible even alone on a node) is parked: it stays in the
+ *     registry, reported as unplaceable, rather than ping-ponging
+ *     through the fleet.
  *
  * Fleet-level metrics (QoS-met fraction over LC jobs, mean BG
  * normalized throughput) are ground-truth values from noise-free
@@ -100,8 +103,9 @@ struct FleetOptions
      * node's search seeds from fleet-wide prior knowledge of its job
      * mix (an evicted job's destination node warm-starts from the
      * checkpoints its mix accumulated anywhere in the fleet). Store
-     * writes happen only in the serial aggregation phase in node-index
-     * order, so determinism across thread counts is preserved.
+     * writes happen only when the engine settles a commit, on its own
+     * thread and in node order within a batch, so determinism across
+     * thread counts is preserved.
      */
     bool shared_store = true;
 };
@@ -154,7 +158,8 @@ struct FleetSummary
     int jobs_pending = 0;        ///< Currently queued.
     int jobs_parked = 0;         ///< Currently parked.
     int evictions = 0;           ///< Total evictions.
-    int reoptimizations = 0;     ///< Total node searches after init.
+    /** Total node searches after init, under either schedule. */
+    int reoptimizations = 0;
     stats::RunningStats qos_met_fraction; ///< Per-window QoS fraction.
     stats::RunningStats bg_perf;          ///< Per-window mean BG perf.
 };
@@ -180,7 +185,11 @@ class Fleet
      */
     uint64_t admit(const workloads::JobSpec& spec);
 
-    /** Advance the whole fleet by one lockstep observation window. */
+    /**
+     * Advance the whole fleet by one lockstep observation window: one
+     * AsyncFleetEngine epoch with a worker per node, equal task
+     * durations and no faults or hedges.
+     */
     FleetWindow tick();
 
     /**
@@ -232,10 +241,8 @@ class Fleet
     std::string digest() const;
 
   private:
-    // The async manager-worker engine drives the same node substrate
-    // (hostJob/unhostJob/stepNode/placeQueued/rescheduleNode) through
-    // its own per-node commit pipeline instead of tick()'s lockstep
-    // phases.
+    // The engine drives the node substrate (hostJob/unhostJob/stepNode/
+    // placeQueued/rescheduleNode) and keeps the fleet's counters.
     friend class AsyncFleetEngine;
 
     struct Node
@@ -269,9 +276,9 @@ class Fleet
                   const std::vector<char>* avoid = nullptr);
 
     /**
-     * One admission pass over the queue (phase A): every pending job
-     * gets one placement attempt; a job that fits nowhere returns to
-     * the tail. @return Jobs placed.
+     * One admission pass over the queue: every pending job gets one
+     * placement attempt; a job that fits nowhere returns to the tail.
+     * @return Jobs placed.
      */
     int placeQueued(const std::vector<char>* avoid = nullptr);
 
@@ -281,14 +288,13 @@ class Fleet
     /** Remove server index @p idx from node @p n (may empty it). */
     void unhostJob(size_t n, size_t idx);
 
-    /** Run node @p n's window (phase B; called from the pool). */
+    /** Run occupied node @p n's window (called from the pool). */
     void stepNode(size_t n);
 
     /**
-     * Act on node @p n's infeasibility signal (the per-node slice of
-     * phase C): evict the reported jobs, re-place or park them,
-     * accumulating counters into @p w. No-op unless
-     * reportsInfeasible(n).
+     * Act on node @p n's infeasibility signal: evict the reported
+     * jobs, re-place or park them, accumulating counters into @p w.
+     * No-op unless reportsInfeasible(n).
      */
     void rescheduleNode(size_t n, FleetWindow& w,
                         const std::vector<char>* avoid = nullptr);

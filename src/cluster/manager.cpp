@@ -13,6 +13,16 @@
 namespace clite {
 namespace cluster {
 
+namespace {
+
+/**
+ * Virtual time a probabilistically lost worker stays down before it
+ * rejoins, in mean-task units (scripted deaths are permanent).
+ */
+constexpr double kRejoinDelay = 10.0;
+
+} // namespace
+
 /**
  * Node steps launched by dispatch() and not yet retired, in launch
  * order, shared with the pool jobs that run them. Steps are claimed in
@@ -97,7 +107,6 @@ AsyncFleetEngine::AsyncFleetEngine(Fleet& fleet, AsyncOptions options)
       steps_(std::make_shared<StepQueue>())
 {
     CLITE_CHECK(options_.workers >= 1, "need at least one worker");
-    CLITE_CHECK(options_.task_cost > 0.0, "task_cost must be positive");
     CLITE_CHECK(options_.task_jitter >= 0.0 && options_.task_jitter < 1.0,
                 "task_jitter must be in [0, 1)");
     CLITE_CHECK(options_.straggler_prob >= 0.0 &&
@@ -138,8 +147,7 @@ double
 AsyncFleetEngine::sampleDuration(uint64_t assignment) const
 {
     const double j = options_.task_jitter;
-    double d = options_.task_cost *
-               (1.0 - j + 2.0 * j * hash01(1, assignment));
+    double d = 1.0 - j + 2.0 * j * hash01(1, assignment);
     if (options_.straggler_prob > 0.0 &&
         hash01(2, assignment) < options_.straggler_prob)
         d *= options_.straggler_factor;
@@ -348,12 +356,12 @@ AsyncFleetEngine::dispatch()
         Event lease;
         lease.kind = Event::Lease;
         lease.task = *id;
-        schedule(now_ + options_.lease * options_.task_cost, lease);
+        schedule(now_ + options_.lease, lease);
         if (options_.hedging && !rec.task.hedge) {
             Event h;
             h.kind = Event::Hedge;
             h.task = *id;
-            schedule(now_ + options_.hedge_delay * options_.task_cost, h);
+            schedule(now_ + options_.hedge_delay, h);
         }
     }
 }
@@ -439,7 +447,7 @@ AsyncFleetEngine::placeQueued()
     // Placement reads every node's last score and may host onto any
     // of them.
     joinAllSteps();
-    fleet_.placeQueued(&quarantine_);
+    window_.placed += fleet_.placeQueued(&quarantine_);
 }
 
 void
@@ -452,14 +460,12 @@ AsyncFleetEngine::dropLive(size_t n, uint64_t id)
 void
 AsyncFleetEngine::maybeRejoin(const TaskRec& rec)
 {
-    if (options_.worker_down_time <= 0.0)
-        return; // losses are permanent by configuration
     if (faults_.workerDeathScripted(rec.assignment, size_t(rec.worker)))
         return; // scripted deaths never rejoin
     Event e;
     e.kind = Event::Rejoin;
     e.worker = rec.worker;
-    schedule(now_ + options_.worker_down_time * options_.task_cost, e);
+    schedule(now_ + kRejoinDelay, e);
 }
 
 void
@@ -518,7 +524,7 @@ AsyncFleetEngine::consumeWindow(size_t n, bool failed)
         Event e;
         e.kind = Event::Replenish;
         e.node = n;
-        schedule(now_ + options_.task_cost, e);
+        schedule(now_ + 1.0, e);
     }
 }
 
@@ -596,28 +602,52 @@ AsyncFleetEngine::commit(TaskRec& rec)
     if (ctl.remaining > 0)
         --ctl.remaining;
 
-    // The per-node slice of lockstep phase C: sample fleet QoS (over
-    // every step launched so far; recorded once they are all joined),
-    // teach the placement surrogate, publish the node's checkpoint,
-    // act on its infeasibility signal, then place whatever is queued.
+    // The node's own bookkeeping: count its search, and sample fleet
+    // QoS over every step launched so far (recorded once they are all
+    // joined). The rest waits for the batch to settle.
+    const Fleet::Node& node = fleet_.nodes_[n];
+    if (node.searched)
+        ++window_.reoptimizations;
+    if (node.reoptimized)
+        ++fleet_.reoptimizations_;
     pending_samples_.push_back(launched_);
     retireSteps();
-    fleet_.scheduler_.recordNode(fleet_.snapshot(n));
-    Fleet::Node& node = fleet_.nodes_[n];
-    if (fleet_.options_.shared_store && node.initialized &&
-        node.server != nullptr)
-        fleet_.store_.put(node.manager->makeCheckpoint());
-    if (fleet_.reportsInfeasible(n)) {
+    settling_.push_back(n);
+}
+
+void
+AsyncFleetEngine::settle()
+{
+    // Node order, whatever order the batch committed in (critical
+    // windows dispatch, and so commit, first).
+    std::sort(settling_.begin(), settling_.end());
+    if (lockstep_ && !window_sampled_) {
+        // The lockstep window's fractions: every node's truth before
+        // the epoch's first evictions, read with every step joined.
+        joinAllSteps();
+        window_.qos_met_fraction = qosMetFraction();
+        window_.mean_bg_perf = meanBgPerf();
+        window_sampled_ = true;
+    }
+    for (size_t n : settling_)
+        fleet_.scheduler_.recordNode(fleet_.snapshot(n));
+    if (fleet_.options_.shared_store)
+        for (size_t n : settling_)
+            fleet_.store_.put(fleet_.nodes_[n].manager->makeCheckpoint());
+    for (size_t n : settling_) {
+        if (!fleet_.reportsInfeasible(n))
+            continue;
         // Evictions re-place jobs onto other nodes.
         joinAllSteps();
-        FleetWindow scratch;
-        fleet_.rescheduleNode(n, scratch, &quarantine_);
+        fleet_.rescheduleNode(n, window_, &quarantine_);
         fleet_tally_ = fleetTally();
     }
+    settling_.clear();
     placeQueued();
-    // activateNodes() re-enqueues this node's next window too (it now
-    // passes the same guard as any idle node) — it must be the ONLY
-    // re-enqueue path, or the epoch gets two competing window tasks.
+    // activateNodes() re-enqueues the settled nodes' next windows too
+    // (they now pass the same guard as any idle node) — it must be the
+    // ONLY re-enqueue path, or an epoch gets two competing window
+    // tasks.
     activateNodes();
 }
 
@@ -755,6 +785,12 @@ AsyncFleetEngine::drive(int epochs)
             onReplenish(e.node);
             break;
         }
+        // Completions that share a virtual time settle as one batch.
+        const bool batch_open = !events_.empty() &&
+                                events_.top().kind == Event::Complete &&
+                                events_.top().time == now_;
+        if (!settling_.empty() && !batch_open)
+            settle();
         dispatch();
     }
     joinAllSteps();

@@ -1,21 +1,28 @@
 /**
  * @file
- * The async manager-worker fleet engine.
+ * The fleet engine: a manager-worker discrete-event loop over a Fleet.
  *
- * Fleet::tick() advances every node in a lockstep window behind a
- * global barrier: one slow or dead participant stalls the whole
- * cluster, and FLEET_scaling.json shows the cost growing
- * super-linearly with node count. AsyncFleetEngine replaces the
- * barrier with the manager-worker architecture of cctools Work Queue:
+ * AsyncFleetEngine is the one engine that advances fleet nodes, built
+ * on the manager-worker architecture of cctools Work Queue:
  *
  *  - The **manager** (this class) owns the job registry, the
  *    ClusterScheduler, and a TaskQueue of serialized per-node window
- *    tasks. It reacts to completions one at a time — nodes advance
+ *    tasks. It reacts to completions as they arrive — nodes advance
  *    independently; node 3 can be on window 12 while node 7, stuck
  *    behind a straggling worker, is still on window 5.
  *  - **Workers** (WorkerPool slots) pull tasks and run each node's
  *    observe→fit→acquire step, streaming results back as completion
  *    events.
+ *
+ * Completions that share a virtual time settle as one batch: each
+ * commits on its own; then, in node order, the batch's nodes teach the
+ * placement surrogate and publish checkpoints, then evict infeasible
+ * jobs; queued jobs are placed and idle nodes activated last. Jittered
+ * async runs never tie, so they settle one commit at a time.
+ * Fleet::tick() is one epoch on the lockstep schedule (a worker per
+ * node, equal durations, no faults or hedges), which settles as a
+ * single batch. A job placed onto an empty node mid-run starts that
+ * node's first window in the same run.
  *
  * Failure handling is first-class:
  *
@@ -47,9 +54,10 @@
  *
  *  - a commit waits for its own node's step;
  *  - anything that touches another node — an eviction, a placement
- *    from a non-empty queue, a quarantine — first waits for every
- *    step in flight (placement reads every node's last score, and
- *    hostJob's pre-warm broadcast needs an idle pool);
+ *    from a non-empty queue, a quarantine, a lockstep window's fleet
+ *    QoS sample — first waits for every step in flight (placement
+ *    reads every node's last score, and hostJob's pre-warm broadcast
+ *    needs an idle pool);
  *  - run() returns only once every step has been joined.
  *
  * While it waits, the manager runs unclaimed steps itself, oldest
@@ -65,8 +73,7 @@
  * each commit's fleet QoS sample covers exactly the steps launched
  * before that commit, finalized once they have all been joined. A run
  * is therefore bit-reproducible given (options, seed, worker count)
- * at ANY CLITE_THREADS setting, and the lockstep mode remains
- * available for the determinism goldens.
+ * at ANY CLITE_THREADS setting.
  */
 
 #ifndef CLITE_CLUSTER_MANAGER_H
@@ -88,34 +95,29 @@
 namespace clite {
 namespace cluster {
 
-/** Engine knobs. Durations are in units of the mean task cost. */
+/** Engine knobs. Durations are in units of the mean task cost (1). */
 struct AsyncOptions
 {
     /** Worker slots. */
     int workers = 4;
-    /** Mean virtual duration of one window task. */
-    double task_cost = 1.0;
     /** Uniform relative duration jitter (0.25 = ±25%). */
     double task_jitter = 0.25;
     /** P(a task is a straggler), per assignment. */
     double straggler_prob = 0.02;
     /** Duration multiplier of a straggler. */
     double straggler_factor = 8.0;
-    /** Task lease, in task_cost units; expiry triggers resubmission. */
+    /** Task lease; expiry triggers resubmission. */
     double lease = 6.0;
     /** Resubmissions allowed per window after losses/failures. */
     int max_retries = 3;
     /** Speculatively re-execute tasks still running after this. */
     bool hedging = true;
-    /** Hedge trigger, in task_cost units. */
+    /** Hedge trigger: run time after which a task is duplicated. */
     double hedge_delay = 3.0;
     /** Consecutive failed windows before a node is quarantined. */
     int quarantine_failures = 2;
     /** Degrade to critical-only when alive/total falls below this. */
     double degrade_below = 0.5;
-    /** Down time of a probabilistically lost worker, in task_cost
-     *  units (scripted deaths are permanent); <= 0 = never rejoins. */
-    double worker_down_time = 10.0;
     /** Worker-loss / task-failure schedule (other kinds ignored). */
     platform::FaultPlan faults;
     /** Seed of the fault decisions and duration jitter. */
@@ -170,13 +172,14 @@ struct FleetMetrics
 };
 
 /**
- * The async manager-worker engine over a Fleet.
+ * The manager-worker engine over a Fleet.
  *
- * The engine drives the same node substrate as Fleet::tick() — the
- * two modes share placement, eviction, the warm-start store and the
- * job registry — but never calls tick(); lockstep behaviour (and its
- * goldens) are untouched. Use one or the other on a given Fleet, not
- * both interleaved.
+ * The engine drives the fleet's node substrate: placement, eviction,
+ * the warm-start store and the job registry. Fleet::tick() builds one
+ * per tick to run a single lockstep epoch; a long-lived engine runs
+ * the async schedule its options describe. Drive a given Fleet
+ * through one or the other, not both interleaved: an engine's window
+ * counts and quarantine mask never see the other's windows.
  */
 class AsyncFleetEngine
 {
@@ -250,6 +253,9 @@ class AsyncFleetEngine
     size_t trackedTasks() const { return tasks_.size(); }
 
   private:
+    // Fleet::tick() runs one epoch and reads back its window.
+    friend class Fleet;
+
     /** One attempt's authoritative record. */
     struct TaskRec
     {
@@ -363,6 +369,9 @@ class AsyncFleetEngine
     /** Event loop of run(): place, dispatch, drain, shed a stall. */
     void drive(int epochs);
 
+    /** Settle the commits of the current virtual time (see @file). */
+    void settle();
+
     /** A task's result arrived (or its scripted failure did). */
     void onComplete(uint64_t id);
 
@@ -378,7 +387,7 @@ class AsyncFleetEngine
     /** Window-cadence pacing tick of a shed node. */
     void onReplenish(size_t node);
 
-    /** Schedule @p rec's killed worker to rejoin, unless permanent. */
+    /** Schedule @p rec's killed worker to rejoin, unless scripted. */
     void maybeRejoin(const TaskRec& rec);
 
     /** Launch a retry attempt, or fail the window when out of budget. */
@@ -387,7 +396,7 @@ class AsyncFleetEngine
     /** A window ran out of attempts (or was shed): consume it. */
     void consumeWindow(size_t n, bool failed);
 
-    /** Deliver @p rec's result: advance the node, learn, reschedule. */
+    /** Deliver @p rec's result: advance the node, join the batch. */
     void commit(TaskRec& rec);
 
     /** Evict everything from node @p n and bar it from service. */
@@ -419,6 +428,14 @@ class AsyncFleetEngine
     std::deque<uint64_t> pending_samples_;
     /** fleetTally() as of the retired steps. */
     LcTally fleet_tally_;
+
+    /** Nodes committed at the current virtual time, not yet settled. */
+    std::vector<size_t> settling_;
+    /** Counts since construction; fractions only for a lockstep epoch. */
+    FleetWindow window_;
+    /** Set by Fleet::tick(); window_sampled_ once it has fractions. */
+    bool lockstep_ = false;
+    bool window_sampled_ = false;
 
     double now_ = 0.0;
     uint64_t next_task_id_ = 0;

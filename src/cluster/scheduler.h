@@ -166,10 +166,9 @@ class ClusterScheduler
     void recordWindow(const std::vector<NodeSnapshot>& nodes);
 
     /**
-     * Feed a single node's window to its headroom surrogate — the
-     * async engine's per-commit sibling of recordWindow (nodes advance
-     * independently, so whole-fleet snapshots never exist at once).
-     * Empty nodes are ignored, as in recordWindow.
+     * Feed a single node's window to its headroom surrogate, as the
+     * fleet engine does for each settled commit. Empty nodes are
+     * ignored, as in recordWindow.
      */
     void recordNode(const NodeSnapshot& node);
 

@@ -141,28 +141,6 @@ ThreadPool::parallelFor(size_t n, const std::function<void(size_t)>& fn)
 }
 
 void
-ThreadPool::parallelForBlocked(size_t n, size_t grain,
-                               const std::function<void(size_t, size_t)>& fn)
-{
-    if (n == 0)
-        return;
-    if (grain < 1)
-        grain = 1;
-    const size_t nblocks = (n + grain - 1) / grain;
-    auto run_block = [&](size_t b) {
-        const size_t begin = b * grain;
-        const size_t end = begin + grain < n ? begin + grain : n;
-        fn(begin, end);
-    };
-    if (threads_ <= 1 || nblocks == 1) {
-        for (size_t b = 0; b < nblocks; ++b)
-            run_block(b);
-        return;
-    }
-    parallelFor(nblocks, run_block);
-}
-
-void
 ThreadPool::broadcast(const std::function<void()>& fn)
 {
     if (threads_ <= 1) {

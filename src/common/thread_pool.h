@@ -17,9 +17,9 @@
  * BO loop) complete even when every worker is busy — helper tasks that
  * never get scheduled find the index range exhausted and exit.
  *
- * submit() is the one non-blocking entry point: the async fleet
- * engine hands each node step to the workers with it and waits only
- * where it needs the result. Determinism is then the submitter's
+ * submit() is the one non-blocking entry point: the fleet engine
+ * hands each node step to the workers with it and waits only where it
+ * needs the result. Determinism is then the submitter's
  * contract: a submitted job must own the state it writes, and the
  * submitter must join it before reading that state.
  */
@@ -68,19 +68,6 @@ class ThreadPool
      *     contract; not checkable, but everything here relies on it).
      */
     void parallelFor(size_t n, const std::function<void(size_t)>& fn);
-
-    /**
-     * Range-parallel loop: split [0, n) into contiguous chunks of
-     * @p grain indices (last chunk ragged) and run fn(begin, end) one
-     * chunk per claimed task. This is the coarse-granularity sibling
-     * of parallelFor for loops whose per-index work is too small to
-     * amortize a task claim — the batched acquisition rounds and the
-     * fleet's lockstep window fan-out. Chunks are claimed in ascending
-     * order and the determinism contract is per-chunk: fn must write
-     * only state owned by indices in [begin, end).
-     */
-    void parallelForBlocked(size_t n, size_t grain,
-                            const std::function<void(size_t, size_t)>& fn);
 
     /**
      * Hand @p job to the workers and return at once. With

@@ -91,10 +91,10 @@ struct MonitorOptions
     store::WarmStartOptions warm_start;
     /**
      * Checkpoint to the attached store after every window and search
-     * (checkpoint-on-window). The fleet turns this off and pulls
-     * checkpoints itself in its serial aggregation phase so that
-     * store writes happen in deterministic node order rather than
-     * from pool threads.
+     * (checkpoint-on-window). The fleet turns this off and its engine
+     * pulls checkpoints itself as it settles commits, so that store
+     * writes happen in deterministic node order rather than from pool
+     * threads.
      */
     bool auto_checkpoint = true;
     /** Sample cap per checkpoint snapshot. */
@@ -307,8 +307,8 @@ class OnlineManager
 
     /**
      * Snapshot of the current learned state (the checkpoint the
-     * manager would write). Exposed so the fleet can collect
-     * checkpoints in its serial phase in deterministic node order.
+     * manager would write). Exposed so the fleet engine can collect
+     * checkpoints on its own thread in deterministic node order.
      * @pre initialize() has been called.
      */
     store::Snapshot makeCheckpoint() const;

@@ -10,10 +10,10 @@
  * query is deterministic regardless of insertion order.
  *
  * Thread-safety and determinism under the fleet's thread pool: all
- * methods are mutex-protected, so concurrent reads during the
- * parallel node-step phase are safe; writes are expected to happen in
- * the fleet's SERIAL aggregation phase in node-index order (see
- * cluster/fleet.cpp), which makes the stored content — and therefore
+ * methods are mutex-protected, so concurrent reads from node steps
+ * are safe; writes are expected to come from the fleet engine's own
+ * thread as it settles commits, in node order (see
+ * cluster/manager.cpp), which makes the stored content — and therefore
  * every later lookup — bit-identical between serial and parallel
  * runs. A standalone OnlineManager (auto-checkpoint mode) writes from
  * its own single thread.

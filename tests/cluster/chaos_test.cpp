@@ -470,6 +470,27 @@ TEST(AsyncEngine, NodeStepExceptionSurfacesFromRun)
     setGlobalThreadCount(ThreadPool::defaultThreadCount());
 }
 
+TEST(AsyncEngine, FleetSummaryCountsEngineReoptimizations)
+{
+    // Re-optimizations the engine runs count in the fleet summary, as
+    // they do under Fleet::tick(): a load step past the drift
+    // threshold makes every node re-optimize.
+    Fleet fleet(fastFleet(2));
+    admitMix(fleet);
+    AsyncFleetEngine engine(fleet, AsyncOptions{});
+    engine.run(2);
+    for (const FleetJob& job : fleet.jobs())
+        if (job.spec.isLatencyCritical())
+            fleet.setJobLoad(job.id, 0.6);
+    engine.run(4);
+    int searches = 0;
+    for (size_t n = 0; n < fleet.nodeCount(); ++n)
+        if (const core::OnlineManager* m = fleet.nodeManager(n))
+            searches += m->reoptimizations();
+    EXPECT_GT(searches, 0);
+    EXPECT_EQ(fleet.summarize().reoptimizations, searches);
+}
+
 // ---------------------------------------------------------------------
 // Lockstep coexistence
 // ---------------------------------------------------------------------

@@ -138,6 +138,44 @@ TEST(Fleet, InfeasibleJobIsRescheduledToAnIdleNode)
     expectRegistryConsistent(fleet);
 }
 
+TEST(Fleet, EvictionOntoAnIdleNodeRunsItsFirstWindowInTheSameTick)
+{
+    // The idle-node scenario above, watched tick by tick: the tick
+    // whose eviction places the probe onto the empty node also runs
+    // that node's first window. Its manager is initialized by the end
+    // of the tick, and its search counts in the tick's
+    // re-optimizations next to the source node's.
+    Fleet fleet(fastFleet(2));
+    uint64_t anchor = fleet.admit(workloads::lcJob("memcached", 0.3));
+    for (int w = 0; w < 5; ++w)
+        fleet.tick();
+    uint64_t probe = fleet.admit(workloads::lcJob("masstree", 0.1));
+    fleet.tick();
+    ASSERT_EQ(fleet.job(probe).node, fleet.job(anchor).node);
+    const size_t idle = fleet.job(anchor).node == 0 ? 1 : 0;
+    ASSERT_EQ(fleet.nodeManager(idle), nullptr);
+
+    fleet.setJobLoad(probe, 1.0);
+    bool moved = false;
+    for (int w = 0; w < 10 && !moved; ++w) {
+        const FleetWindow win = fleet.tick();
+        moved = fleet.job(probe).state == JobState::Placed &&
+                fleet.job(probe).node == int(idle);
+        if (!moved)
+            continue;
+        EXPECT_EQ(win.evicted, 1);
+        EXPECT_EQ(win.rescheduled, 1);
+        const core::OnlineManager* manager = fleet.nodeManager(idle);
+        ASSERT_NE(manager, nullptr);
+        EXPECT_NO_THROW(manager->lastResult())
+            << "the destination's first search did not run this tick";
+        EXPECT_EQ(win.reoptimizations, 2)
+            << "source and destination searches both count";
+    }
+    EXPECT_TRUE(moved) << "infeasible job was never rescheduled";
+    expectRegistryConsistent(fleet);
+}
+
 TEST(Fleet, UnservableJobIsParkedAfterMoveBudget)
 {
     // With every node occupied, a job infeasible next to anything
