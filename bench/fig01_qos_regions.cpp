@@ -38,10 +38,12 @@ printRegion(const harness::QosRegion& region)
     for (size_t ai = 0; ai < region.a_units.size(); ++ai)
         std::cout << "--";
     std::cout << "\n       ";
-    for (int a : region.a_units)
-        std::cout << (a < 10 ? " " + std::to_string(a)
-                             : std::to_string(a % 100 / 10) +
-                                   std::to_string(a % 10));
+    for (int a : region.a_units) {
+        if (a < 10)
+            std::cout << ' ' << a;
+        else
+            std::cout << a % 100 / 10 << a % 10;
+    }
     std::cout << "   (" << platform::resourceName(region.res_a) << ")\n\n";
 }
 

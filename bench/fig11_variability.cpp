@@ -30,11 +30,12 @@ runSet(const std::string& label, std::vector<workloads::JobSpec> jobs,
         spec.seed = 1234;
         harness::VariabilityResult v =
             harness::runVariability(scheme, spec, trials);
+        const std::string ci_lo = TextTable::num(v.perf_ci.lo, 3);
+        const std::string ci_hi = TextTable::num(v.perf_ci.hi, 3);
         t.addRow({scheme, TextTable::num(v.mean_score, 3),
                   TextTable::num(v.score_cov_percent, 1) + "%",
                   TextTable::num(v.mean_perf, 3),
-                  "[" + TextTable::num(v.perf_ci.lo, 3) + ", " +
-                      TextTable::num(v.perf_ci.hi, 3) + "]",
+                  "[" + ci_lo + ", " + ci_hi + "]",
                   TextTable::num(v.cov_percent, 1) + "%"});
     }
     t.print(std::cout);

@@ -11,15 +11,27 @@
 namespace clite {
 namespace bo {
 
+double
+Acquisition::evaluate(const gp::GaussianProcess& gp, const linalg::Vector& x,
+                      double incumbent) const
+{
+    gp::Prediction p = gp.predict(x);
+    return value(p.mean, p.variance, incumbent);
+}
+
 void
 Acquisition::evaluateBatch(const gp::GaussianProcess& gp,
                            const std::vector<linalg::Vector>& xs,
                            size_t begin, size_t count, double incumbent,
                            double* out) const
 {
-    // Generic fallback for acquisitions without a batched closed form.
+    ScratchArena& arena = ScratchArena::forCurrentThread();
+    ScratchArena::Frame frame(arena);
+    double* mean = arena.doubles(count);
+    double* var = arena.doubles(count);
+    gp.predictBatch(xs, begin, count, mean, var);
     for (size_t i = 0; i < count; ++i)
-        out[i] = evaluate(gp, xs[begin + i], incumbent);
+        out[i] = value(mean[i], var[i], incumbent);
 }
 
 ExpectedImprovement::ExpectedImprovement(double zeta) : zeta_(zeta)
@@ -28,41 +40,15 @@ ExpectedImprovement::ExpectedImprovement(double zeta) : zeta_(zeta)
 }
 
 double
-ExpectedImprovement::evaluate(const gp::GaussianProcess& gp,
-                              const linalg::Vector& x,
-                              double incumbent) const
+ExpectedImprovement::value(double mean, double variance,
+                           double incumbent) const
 {
-    gp::Prediction p = gp.predict(x);
-    double sigma = p.stddev();
+    double sigma = std::sqrt(std::max(0.0, variance));
     if (sigma <= 0.0)
         return 0.0; // Eq. 2: EI = 0 when sigma(x) = 0
-    double improve = p.mean - incumbent - zeta_;
+    double improve = mean - incumbent - zeta_;
     double z = improve / sigma;
     return improve * stats::normalCdf(z) + sigma * stats::normalPdf(z);
-}
-
-void
-ExpectedImprovement::evaluateBatch(const gp::GaussianProcess& gp,
-                                   const std::vector<linalg::Vector>& xs,
-                                   size_t begin, size_t count,
-                                   double incumbent, double* out) const
-{
-    ScratchArena& arena = ScratchArena::forCurrentThread();
-    ScratchArena::Frame frame(arena);
-    double* mean = arena.doubles(count);
-    double* var = arena.doubles(count);
-    gp.predictBatch(xs, begin, count, mean, var);
-    for (size_t i = 0; i < count; ++i) {
-        double sigma = std::sqrt(std::max(0.0, var[i]));
-        if (sigma <= 0.0) {
-            out[i] = 0.0;
-            continue;
-        }
-        double improve = mean[i] - incumbent - zeta_;
-        double z = improve / sigma;
-        out[i] = improve * stats::normalCdf(z) +
-                 sigma * stats::normalPdf(z);
-    }
 }
 
 ProbabilityOfImprovement::ProbabilityOfImprovement(double zeta)
@@ -72,35 +58,13 @@ ProbabilityOfImprovement::ProbabilityOfImprovement(double zeta)
 }
 
 double
-ProbabilityOfImprovement::evaluate(const gp::GaussianProcess& gp,
-                                   const linalg::Vector& x,
-                                   double incumbent) const
+ProbabilityOfImprovement::value(double mean, double variance,
+                                double incumbent) const
 {
-    gp::Prediction p = gp.predict(x);
-    double sigma = p.stddev();
+    double sigma = std::sqrt(std::max(0.0, variance));
     if (sigma <= 0.0)
-        return p.mean > incumbent + zeta_ ? 1.0 : 0.0;
-    return stats::normalCdf((p.mean - incumbent - zeta_) / sigma);
-}
-
-void
-ProbabilityOfImprovement::evaluateBatch(
-    const gp::GaussianProcess& gp, const std::vector<linalg::Vector>& xs,
-    size_t begin, size_t count, double incumbent, double* out) const
-{
-    ScratchArena& arena = ScratchArena::forCurrentThread();
-    ScratchArena::Frame frame(arena);
-    double* mean = arena.doubles(count);
-    double* var = arena.doubles(count);
-    gp.predictBatch(xs, begin, count, mean, var);
-    for (size_t i = 0; i < count; ++i) {
-        double sigma = std::sqrt(std::max(0.0, var[i]));
-        if (sigma <= 0.0)
-            out[i] = mean[i] > incumbent + zeta_ ? 1.0 : 0.0;
-        else
-            out[i] =
-                stats::normalCdf((mean[i] - incumbent - zeta_) / sigma);
-    }
+        return mean > incumbent + zeta_ ? 1.0 : 0.0;
+    return stats::normalCdf((mean - incumbent - zeta_) / sigma);
 }
 
 UpperConfidenceBound::UpperConfidenceBound(double kappa) : kappa_(kappa)
@@ -109,28 +73,10 @@ UpperConfidenceBound::UpperConfidenceBound(double kappa) : kappa_(kappa)
 }
 
 double
-UpperConfidenceBound::evaluate(const gp::GaussianProcess& gp,
-                               const linalg::Vector& x,
-                               double /* incumbent */) const
+UpperConfidenceBound::value(double mean, double variance,
+                            double /* incumbent */) const
 {
-    gp::Prediction p = gp.predict(x);
-    return p.mean + kappa_ * p.stddev();
-}
-
-void
-UpperConfidenceBound::evaluateBatch(const gp::GaussianProcess& gp,
-                                    const std::vector<linalg::Vector>& xs,
-                                    size_t begin, size_t count,
-                                    double /* incumbent */,
-                                    double* out) const
-{
-    ScratchArena& arena = ScratchArena::forCurrentThread();
-    ScratchArena::Frame frame(arena);
-    double* mean = arena.doubles(count);
-    double* var = arena.doubles(count);
-    gp.predictBatch(xs, begin, count, mean, var);
-    for (size_t i = 0; i < count; ++i)
-        out[i] = mean[i] + kappa_ * std::sqrt(std::max(0.0, var[i]));
+    return mean + kappa_ * std::sqrt(std::max(0.0, variance));
 }
 
 void

@@ -29,6 +29,9 @@ namespace bo {
 /**
  * Abstract acquisition function over a fitted GP surrogate. All
  * acquisitions are formulated for MAXIMIZATION of the objective.
+ * Each one is a closed form over the posterior at a point — value() —
+ * that the base class applies after GaussianProcess::predict (one
+ * point) or predictBatch (a block of candidates).
  */
 class Acquisition
 {
@@ -36,29 +39,33 @@ class Acquisition
     virtual ~Acquisition() = default;
 
     /**
-     * Acquisition value at @p x.
+     * Acquisition value at @p x: value() over gp.predict(x).
      *
      * @param gp Fitted surrogate.
      * @param x Query point.
      * @param incumbent Best observed objective value x̂ so far.
      */
-    virtual double evaluate(const gp::GaussianProcess& gp,
-                            const linalg::Vector& x,
-                            double incumbent) const = 0;
+    double evaluate(const gp::GaussianProcess& gp, const linalg::Vector& x,
+                    double incumbent) const;
 
     /**
      * Batched acquisition: out[i] = evaluate(gp, xs[begin+i],
-     * incumbent) for i < count, bit-identically (the batch-vs-scalar
-     * tests pin it). The base implementation loops the scalar
-     * evaluate(); EI/PI/UCB override it to run one
-     * GaussianProcess::predictBatch per block — amortizing the
-     * triangular solves into a single blocked TRSM — and then apply
-     * the closed form per candidate in the scalar operation order.
+     * incumbent) for i < count, bit-identically (predictBatch matches
+     * predict per point; the batch-vs-scalar tests pin it). One
+     * predictBatch call per block amortizes the triangular solves into
+     * a single blocked TRSM.
      */
-    virtual void evaluateBatch(const gp::GaussianProcess& gp,
-                               const std::vector<linalg::Vector>& xs,
-                               size_t begin, size_t count,
-                               double incumbent, double* out) const;
+    void evaluateBatch(const gp::GaussianProcess& gp,
+                       const std::vector<linalg::Vector>& xs, size_t begin,
+                       size_t count, double incumbent, double* out) const;
+
+    /**
+     * The closed form: acquisition value of a point whose posterior
+     * has @p mean and @p variance (clamped at 0), against the
+     * incumbent x̂.
+     */
+    virtual double value(double mean, double variance,
+                         double incumbent) const = 0;
 
     /** Name for configuration/reporting. */
     virtual std::string name() const = 0;
@@ -104,12 +111,8 @@ class ExpectedImprovement : public Acquisition
      */
     explicit ExpectedImprovement(double zeta = 0.01);
 
-    double evaluate(const gp::GaussianProcess& gp, const linalg::Vector& x,
-                    double incumbent) const override;
-    void evaluateBatch(const gp::GaussianProcess& gp,
-                       const std::vector<linalg::Vector>& xs, size_t begin,
-                       size_t count, double incumbent,
-                       double* out) const override;
+    double value(double mean, double variance,
+                 double incumbent) const override;
     std::string name() const override { return "ei"; }
 
     /** The exploration factor ζ. */
@@ -127,12 +130,8 @@ class ProbabilityOfImprovement : public Acquisition
   public:
     explicit ProbabilityOfImprovement(double zeta = 0.01);
 
-    double evaluate(const gp::GaussianProcess& gp, const linalg::Vector& x,
-                    double incumbent) const override;
-    void evaluateBatch(const gp::GaussianProcess& gp,
-                       const std::vector<linalg::Vector>& xs, size_t begin,
-                       size_t count, double incumbent,
-                       double* out) const override;
+    double value(double mean, double variance,
+                 double incumbent) const override;
     std::string name() const override { return "pi"; }
 
   private:
@@ -147,12 +146,8 @@ class UpperConfidenceBound : public Acquisition
   public:
     explicit UpperConfidenceBound(double kappa = 2.0);
 
-    double evaluate(const gp::GaussianProcess& gp, const linalg::Vector& x,
-                    double incumbent) const override;
-    void evaluateBatch(const gp::GaussianProcess& gp,
-                       const std::vector<linalg::Vector>& xs, size_t begin,
-                       size_t count, double incumbent,
-                       double* out) const override;
+    double value(double mean, double variance,
+                 double incumbent) const override;
     std::string name() const override { return "ucb"; }
 
   private:

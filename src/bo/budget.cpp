@@ -102,7 +102,7 @@ double
 BudgetPolicy::normalize(double acquisition_value,
                         double expected_cost_seconds) const
 {
-    if (!active() || !options_.cost_normalized)
+    if (!active())
         return acquisition_value;
     // Floor the divisor at the cheapest possible window (an aborted
     // one) so a degenerate cost estimate cannot blow the value up.
@@ -117,7 +117,7 @@ BudgetPolicy::normalize(double acquisition_value,
 double
 BudgetPolicy::costAwareAcquisition(double ei, double p_violate) const
 {
-    if (!active() || !options_.cost_normalized)
+    if (!active())
         return ei;
     if (!std::isfinite(p_violate))
         p_violate = 0.0;
@@ -129,7 +129,7 @@ BudgetPolicy::costAwareAcquisition(double ei, double p_violate) const
 bool
 BudgetPolicy::lookaheadExhausted(double max_ei) const
 {
-    if (!active() || !options_.lookahead)
+    if (!active())
         return false;
     // An improving probe is feasible and therefore runs (and pays
     // for) a full window: the residual budget buys at most n of them.

@@ -83,10 +83,6 @@ struct BudgetOptions
     double budget_seconds = 0.0;
     /** Cost of one full observation window (paper: ~2 s). */
     double window_seconds = 2.0;
-    /** Divide the acquisition by the expected window cost. */
-    bool cost_normalized = true;
-    /** Enable the lookahead cutoff. */
-    bool lookahead = true;
     /** Enable mid-window early-abort of clearly infeasible windows. */
     bool early_abort = true;
     /**
@@ -192,8 +188,8 @@ class BudgetPolicy
 
     /**
      * Cost-normalize an acquisition value: value / expected cost in
-     * window-seconds. Identity when the policy is inactive or
-     * cost_normalized is off (the inert-at-∞ guarantee).
+     * window-seconds. Identity when the policy is inactive (the
+     * inert-at-∞ guarantee).
      */
     double normalize(double acquisition_value,
                      double expected_cost_seconds) const;
@@ -204,8 +200,8 @@ class BudgetPolicy
      * ei·(1 − p_violate) / expectedWindowCost(p_violate). The weight
      * is what keeps the normalization from chasing cheap-but-doomed
      * probes: an aborted window can never improve the incumbent.
-     * Identity when the policy is inactive or cost_normalized is off;
-     * non-finite @p p_violate reads as 0 (plain EI / full window).
+     * Identity when the policy is inactive; non-finite @p p_violate
+     * reads as 0 (plain EI / full window).
      */
     double costAwareAcquisition(double ei, double p_violate) const;
 
@@ -213,8 +209,7 @@ class BudgetPolicy
      * Lookahead cutoff: true when no remaining probe can still
      * improve the incumbent within the residual budget — either no
      * full window is affordable, or ⌊remaining/W⌋·max_ei falls below
-     * lookahead_min_gain. Always false when inactive or lookahead is
-     * off.
+     * lookahead_min_gain. Always false when inactive.
      */
     bool lookaheadExhausted(double max_ei) const;
 

@@ -39,8 +39,6 @@ Fleet::Fleet(FleetOptions options)
 {
     CLITE_CHECK(options_.nodes >= 1, "a fleet needs at least one node");
     CLITE_CHECK(options_.max_moves >= 1, "max_moves must be >= 1");
-    CLITE_CHECK(options_.node_budget_seconds >= 0.0,
-                "node_budget_seconds must be >= 0");
     node_capacity_ = size_t(config_.resources()[0].units);
     for (const platform::ResourceSpec& r : config_.resources())
         node_capacity_ = std::min(node_capacity_, size_t(r.units));
@@ -190,9 +188,6 @@ Fleet::hostJob(uint64_t id, size_t n)
             std::move(model), nodeSeed(n), options_.noise_sigma);
         core::CliteOptions clite_options = options_.clite;
         clite_options.seed = SplitMix64(nodeSeed(n)).next();
-        if (options_.node_budget_seconds > 0.0)
-            clite_options.budget.budget_seconds =
-                options_.node_budget_seconds;
         // Coarse search probes are a DES-only economy: the analytic
         // backend has no event bill, and forcing the knob there would
         // change nothing but reads as if it did.

@@ -72,14 +72,6 @@ struct FleetOptions
     /** Per-node CLITE knobs (budgets; seed is overridden per node). */
     core::CliteOptions clite;
     /**
-     * Per-node search budget in window-seconds (bo/budget.h),
-     * overriding clite.budget.budget_seconds on every node when > 0:
-     * each node's searches are budget-bounded with cost-normalized
-     * acquisition and mid-window early-abort. 0 (the default) leaves
-     * clite.budget untouched — unlimited unless set there explicitly.
-     */
-    double node_budget_seconds = 0.0;
-    /**
      * DES event budget for node SEARCH probe windows (coarse mode,
      * docs/MODEL.md): with the DES backend every node's bootstrap,
      * BO and polish windows measure under the budget while

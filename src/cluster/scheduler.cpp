@@ -41,8 +41,8 @@ HeadroomModel::HeadroomModel(PlacementOptions options)
 {
     CLITE_CHECK(options_.min_model_samples >= 1,
                 "min_model_samples must be >= 1");
-    CLITE_CHECK(options_.max_model_samples >= options_.min_model_samples,
-                "max_model_samples must be >= min_model_samples");
+    CLITE_CHECK(options_.min_model_samples <= kMaxModelSamples,
+                "min_model_samples must be <= " << kMaxModelSamples);
 }
 
 linalg::Vector
@@ -73,7 +73,7 @@ HeadroomModel::observe(const NodeSnapshot& snapshot)
     NodeModel& m = nodeModel(snapshot.node);
     m.x.push_back(features(snapshot));
     m.y.push_back(snapshot.last_score);
-    if (int(m.x.size()) > options_.max_model_samples) {
+    if (int(m.x.size()) > kMaxModelSamples) {
         m.x.erase(m.x.begin());
         m.y.erase(m.y.begin());
     }

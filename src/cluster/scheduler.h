@@ -51,15 +51,17 @@ enum class PlacementPolicy {
 /** Printable policy name ("best-fit-headroom", ...). */
 const char* placementPolicyName(PlacementPolicy policy);
 
+/** Per-node surrogate training-history cap (oldest windows drop). */
+constexpr int kMaxModelSamples = 64;
+
 /** Placement knobs. */
 struct PlacementOptions
 {
     PlacementPolicy policy = PlacementPolicy::BestFitHeadroom;
     /** Monitoring windows a node's surrogate needs before it may
-     *  predict; below this the least-loaded fallback is used. */
+     *  predict (at most kMaxModelSamples); below this the
+     *  least-loaded fallback is used. */
     int min_model_samples = 4;
-    /** Per-node training-history cap (oldest windows are dropped). */
-    int max_model_samples = 64;
 };
 
 /**

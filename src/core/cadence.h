@@ -11,10 +11,10 @@
  *
  *     k(n) = base · min(4, 1 + n / stretch_threshold)
  *
- * iterations, where base is the controller's gp_fit_every. Below the
- * stretch threshold k(n) == base, i.e. exactly the fixed cadence the
- * controller always had — small-history traces (every golden) are
- * untouched.
+ * iterations, where base is the controller's fixed refit period
+ * (kGpFitEvery in core/clite.cpp). Below the stretch threshold
+ * k(n) == base, i.e. exactly the fixed cadence the controller always
+ * had — small-history traces (every golden) are untouched.
  *
  * A *surprise* — an observation falling outside the surrogate's own
  * confidence band — means the current hyper-parameters misdescribe

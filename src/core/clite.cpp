@@ -19,6 +19,14 @@ namespace core {
 
 namespace {
 
+/** Refit the GP hyper-parameters every this many BO iterations
+ *  (below gp::kSubsetThreshold samples; core/cadence.h). */
+constexpr int kGpFitEvery = 3;
+/** Random restarts per hyper-parameter fit. */
+constexpr int kGpRestarts = 1;
+/** How many top candidates the validation re-measures. */
+constexpr size_t kValidationCandidates = 3;
+
 /**
  * Round a continuous normalized configuration to a valid Allocation,
  * optionally pinning one job's allocation (dropout-copy) and freezing
@@ -109,8 +117,6 @@ CliteController::CliteController(CliteOptions options)
                 "dropout_random_prob must be in [0,1]");
     CLITE_CHECK(options_.apply_retries >= 0,
                 "apply_retries must be >= 0");
-    CLITE_CHECK(options_.retry_backoff_ms >= 0.0,
-                "retry_backoff_ms must be >= 0");
 }
 
 ControllerResult
@@ -217,7 +223,7 @@ CliteController::search(platform::SimulatedServer& server,
         double backoff_ms = 0.0;
         while (resilient && !server.lastApplyOk() &&
                retries < options_.apply_retries) {
-            backoff_ms += options_.retry_backoff_ms * double(1 << retries);
+            backoff_ms += kRetryBackoffMs * double(1 << retries);
             ++retries;
             server.apply(alloc);
         }
@@ -265,8 +271,7 @@ CliteController::search(platform::SimulatedServer& server,
             return evaluate_budgeted(alloc);
         SampleRecord rec =
             resilient ? evaluateSampleResilient(server, alloc,
-                                                options_.apply_retries,
-                                                options_.retry_backoff_ms)
+                                                options_.apply_retries)
                       : evaluateSample(server, alloc);
         // Every transient-apply retry re-ran the full window.
         rec.cost_seconds = window_s * double(1 + rec.apply_retries);
@@ -420,16 +425,14 @@ CliteController::search(platform::SimulatedServer& server,
         options_.termination_threshold * std::max(1.0, double(njobs) / 3.0);
     int below_threshold_streak = 0;
 
-    // Adaptive refit cadence (core/cadence.h): the fixed gp_fit_every
+    // Adaptive refit cadence (core/cadence.h): the fixed kGpFitEvery
     // schedule below the subset threshold — bit-identical to the
     // historical behaviour — and a history-stretched period above it,
     // pulled forward when an observation lands outside the
     // surrogate's own confidence band. The stretch point is the same
     // threshold at which the probe tier switches to subset LML, so
     // the two large-history mechanisms engage together.
-    const size_t stretch_threshold = gp::GpFitOptions{}.subset_threshold;
-    RefitCadence cadence(std::max(1, options_.gp_fit_every),
-                         stretch_threshold);
+    RefitCadence cadence(kGpFitEvery, gp::kSubsetThreshold);
     bool surprise_pending = false;
 
     // Dead-knob state: a resource whose isolation tool permanently
@@ -507,7 +510,7 @@ CliteController::search(platform::SimulatedServer& server,
         if (cadence.step(train.size(), surprise_pending)) {
             surprise_pending = false;
             gp::GpFitOptions fo;
-            fo.restarts = options_.gp_restarts;
+            fo.restarts = kGpRestarts;
             fo.max_iters = 50;
             surrogate.optimizeHyperparameters(rng, fo);
             const gp::GpFitStats& fs = surrogate.lastFitStats();
@@ -611,8 +614,6 @@ CliteController::search(platform::SimulatedServer& server,
         // improvement carries the (1−p) weight — without it the
         // normalization would chase the violating region precisely
         // because probing it is cheap.
-        const bool normalize_cost =
-            budgeted && options_.budget.cost_normalized;
         auto violate_prob = [](double mean, double variance) {
             const double sigma = std::sqrt(std::max(0.0, variance));
             if (sigma <= 0.0)
@@ -622,7 +623,7 @@ CliteController::search(platform::SimulatedServer& server,
         };
         auto acq_objective = [&](const std::vector<double>& x) {
             double v = acquisition->evaluate(surrogate, x, incumbent_score);
-            if (!normalize_cost)
+            if (!budgeted)
                 return v;
             gp::Prediction p = surrogate.predict(x);
             return budget.costAwareAcquisition(
@@ -636,7 +637,7 @@ CliteController::search(platform::SimulatedServer& server,
                              double* out) {
             acquisition->evaluateBatch(surrogate, pts, 0, pts.size(),
                                        incumbent_score, out);
-            if (!normalize_cost)
+            if (!budgeted)
                 return;
             for (size_t i = 0; i < pts.size(); ++i) {
                 gp::Prediction p = surrogate.predict(pts[i]);
@@ -706,7 +707,7 @@ CliteController::search(platform::SimulatedServer& server,
         // conservative: neither can fire before the achievable
         // improvement has actually dropped.
         const double max_ei =
-            normalize_cost ? acq.value * window_s : acq.value;
+            budgeted ? acq.value * window_s : acq.value;
 
         // Lookahead cutoff: with n affordable windows left, even the
         // optimistic total improvement n·maxEI no longer matters.
@@ -778,8 +779,7 @@ CliteController::search(platform::SimulatedServer& server,
         // cadence pulls the next refit forward. Below the threshold
         // nothing is predicted and the trace stays bit-identical to
         // the fixed-cadence search.
-        if (surrogate.sampleCount() >= stretch_threshold &&
-            stretch_threshold > 0) {
+        if (surrogate.sampleCount() >= gp::kSubsetThreshold) {
             const gp::Prediction pr =
                 surrogate.predict(next.flattenNormalized());
             if (evaluate_unique(next) && trace.back().usable()) {
@@ -935,8 +935,7 @@ CliteController::search(platform::SimulatedServer& server,
         std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
             return trace[a].score > trace[b].score;
         });
-        size_t ncand = std::min(size_t(options_.validation_candidates),
-                                order.size());
+        size_t ncand = std::min(kValidationCandidates, order.size());
         for (size_t c = 0; c < ncand; ++c) {
             SampleRecord& rec = trace[order[c]];
             server.apply(rec.alloc);
@@ -989,8 +988,7 @@ CliteController::search(platform::SimulatedServer& server,
         std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
             return trace[a].score > trace[b].score;
         });
-        size_t ncand = std::min(size_t(options_.validation_candidates),
-                                order.size());
+        size_t ncand = std::min(kValidationCandidates, order.size());
         for (size_t c = 0; c < ncand; ++c) {
             SampleRecord& rec = trace[order[c]];
             double score_sum = rec.score;

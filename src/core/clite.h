@@ -57,10 +57,6 @@ struct CliteOptions
      * history; a cold surrogate can under-estimate EI at iteration 0.
      */
     int min_iterations = 6;
-    /** Refit GP hyper-parameters every this many iterations. */
-    int gp_fit_every = 3;
-    /** Random restarts per hyper-parameter fit. */
-    int gp_restarts = 1;
     /** Enable dropout-copy dimensionality reduction. */
     bool dropout = true;
     /**
@@ -101,8 +97,6 @@ struct CliteOptions
      * misses its targets.
      */
     int validation_windows = 2;
-    /** How many top candidates the validation re-measures. */
-    int validation_candidates = 3;
     /** Acquisition name ("ei" | "pi" | "ucb") for ablations. */
     std::string acquisition = "ei";
     /** RNG seed for all stochastic choices. */
@@ -119,10 +113,11 @@ struct CliteOptions
      * knob collapses that search dimension instead of aborting.
      */
     bool resilient = true;
-    /** Extra apply attempts per sample on transient failure. */
+    /**
+     * Extra apply attempts per sample on transient failure, backing
+     * off kRetryBackoffMs · 2^attempt (modeled).
+     */
     int apply_retries = 3;
-    /** Base of the exponential retry back-off (modeled ms). */
-    double retry_backoff_ms = 8.0;
     /**
      * Cost-aware, budget-bounded search (bo/budget.h). With the
      * default unlimited budget the policy is inert and the search is

@@ -191,6 +191,9 @@ SampleRecord recordFromObservations(
     const platform::Allocation& alloc,
     std::vector<platform::JobObservation> obs);
 
+/** Base of the exponential apply-retry back-off (modeled ms). */
+constexpr double kRetryBackoffMs = 8.0;
+
 /**
  * evaluateSample() with bounded retry on transient apply failure:
  * each failed attempt backs off exponentially (modeled, accumulated
@@ -201,7 +204,7 @@ SampleRecord recordFromObservations(
 SampleRecord evaluateSampleResilient(platform::SimulatedServer& server,
                                      const platform::Allocation& alloc,
                                      int max_retries,
-                                     double backoff_base_ms = 8.0);
+                                     double backoff_base_ms = kRetryBackoffMs);
 
 /**
  * Finish a run: pick the best-scoring *usable* sample from @p trace,

@@ -90,8 +90,8 @@ OnlineManager::lookupWarmStart()
         return {};
     const store::MixSignature sig = store::MixSignature::of(server_);
     if (std::optional<store::Snapshot> snap = store_->find(sig)) {
-        WarmStart warm = store::warmStartFromSnapshot(
-            *snap, server_, options_.warm_start, /*exact=*/true);
+        WarmStart warm =
+            store::warmStartFromSnapshot(*snap, server_, /*exact=*/true);
         if (!warm.empty()) {
             warm_source_ = "exact";
             CLITE_LOG_INFO("warm start (exact) from mix "
@@ -100,10 +100,10 @@ OnlineManager::lookupWarmStart()
         }
     }
     for (const store::Neighbor& n : store_->nearest(sig, 1)) {
-        if (n.distance > options_.warm_start.max_distance)
+        if (n.distance > kWarmStartMaxDistance)
             continue;
-        WarmStart warm = store::warmStartFromSnapshot(
-            n.snapshot, server_, options_.warm_start, /*exact=*/false);
+        WarmStart warm = store::warmStartFromSnapshot(n.snapshot, server_,
+                                                      /*exact=*/false);
         if (!warm.empty()) {
             warm_source_ = "similar";
             CLITE_LOG_INFO("warm start (similar, distance " << n.distance
@@ -144,9 +144,9 @@ OnlineManager::makeCheckpoint() const
         phase = demoted ? store::ControllerPhase::Degraded
                         : store::ControllerPhase::Steady;
     }
-    return store::captureSnapshot(
-        server_, *last_result_, *incumbent_, phase, last_window_qos_met_,
-        uint64_t(windows_), size_t(options_.checkpoint_max_samples));
+    return store::captureSnapshot(server_, *last_result_, *incumbent_,
+                                  phase, last_window_qos_met_,
+                                  uint64_t(windows_));
 }
 
 void

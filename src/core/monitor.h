@@ -66,6 +66,12 @@ enum class ReoptPolicy {
     RideTransients,
 };
 
+/**
+ * Maximum signature distance of a similar-mix warm-start prior (sum of
+ * absolute load-level differences across jobs).
+ */
+constexpr double kWarmStartMaxDistance = 0.35;
+
 /** Monitoring knobs. */
 struct MonitorOptions
 {
@@ -87,8 +93,6 @@ struct MonitorOptions
     int apply_fail_patience = 3;
     /** Watchdog: re-apply attempts per window on apply failure. */
     int apply_retries = 2;
-    /** Warm-start extraction knobs (profile store attached only). */
-    store::WarmStartOptions warm_start;
     /**
      * Checkpoint to the attached store after every window and search
      * (checkpoint-on-window). The fleet turns this off and its engine
@@ -97,8 +101,6 @@ struct MonitorOptions
      * threads.
      */
     bool auto_checkpoint = true;
-    /** Sample cap per checkpoint snapshot. */
-    int checkpoint_max_samples = 64;
     /** Transient-vs-shift reoptimization policy. */
     ReoptPolicy reopt_policy = ReoptPolicy::Immediate;
     /**
@@ -141,7 +143,7 @@ class OnlineManager
      * @param store Optional warm-start profile store (not owned; must
      *     outlive). With a store attached, initialize() restores prior
      *     knowledge of the mix (exact signature hit, else the nearest
-     *     similar mix within warm_start.max_distance) and the manager
+     *     similar mix within kWarmStartMaxDistance) and the manager
      *     checkpoints its learned state back — which is also the
      *     crash-recovery path: a controller rebuilt on the same
      *     server with the same store resumes from the last

@@ -3,6 +3,8 @@
 #include <cmath>
 #include <cstdint>
 
+#include "common/error.h"
+
 // The generic 32-byte vectors never cross a function boundary that
 // survives inlining inside this translation unit, so the "AVX vector
 // return without AVX enabled" ABI note does not apply.
@@ -52,7 +54,7 @@ avx2Supported()
 
 } // namespace detail
 
-std::optional<RadialForm>
+RadialForm
 radialFormFor(const std::string& kernel_name)
 {
     if (kernel_name == "matern52")
@@ -61,7 +63,7 @@ radialFormFor(const std::string& kernel_name)
         return RadialForm::Matern32;
     if (kernel_name == "rbf")
         return RadialForm::Rbf;
-    return std::nullopt;
+    CLITE_THROW("kernel '" << kernel_name << "' has no radial form");
 }
 
 double

@@ -48,7 +48,6 @@
 #define CLITE_GP_FAST_LML_H
 
 #include <cstddef>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -64,10 +63,11 @@ enum class RadialForm
 };
 
 /**
- * Fast-tier form for a Kernel::name(), or nullopt when the kernel is
- * unknown to this module (the caller falls back to exact probes).
+ * Fast-tier form for a Kernel::name() — every kernel makeKernel()
+ * builds has one.
+ * @throws clite::Error for a name without a radial form.
  */
-std::optional<RadialForm> radialFormFor(const std::string& kernel_name);
+RadialForm radialFormFor(const std::string& kernel_name);
 
 /**
  * One hyper-fit problem: everything the evaluator reads besides the

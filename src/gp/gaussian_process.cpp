@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <memory>
-#include <optional>
 
 #include "common/arena.h"
 #include "common/error.h"
@@ -18,6 +17,9 @@ namespace gp {
 namespace {
 
 constexpr double kLog2Pi = 1.8378770664093453;
+
+/** Half-width of the uniform log-parameter perturbation per restart. */
+constexpr double kRestartLogRange = 2.0;
 
 } // namespace
 
@@ -569,34 +571,25 @@ GaussianProcess::optimizeHyperparameters(Rng& rng,
     for (int restart = 0; restart < options.restarts; ++restart) {
         std::vector<double> s = start;
         for (double& v : s)
-            v += rng.uniform(-options.log_param_range,
-                             options.log_param_range);
+            v += rng.uniform(-kRestartLogRange, kRestartLogRange);
         starts.push_back(std::move(s));
     }
 
-    // Probe tier: the vectorized LML evaluator when the kernel has a
-    // fast radial form (every kernel the library ships), the exact
-    // objective otherwise. Fast probes agree with the exact value to
-    // roundoff but are not bit-identical; only the winner is
-    // re-evaluated — and the model refit — through the exact path.
+    // Probe tier: the vectorized LML evaluator over the kernel's
+    // radial form. Fast probes agree with the exact value to roundoff
+    // but are not bit-identical; only the winner is re-evaluated — and
+    // the model refit — through the exact path.
     //
-    // Above subset_threshold a third tier engages: probes rank
-    // hyper-vectors by the LML of a deterministic score-stratified
-    // subset (O(m³) per evaluation instead of O(n³)), the persisted
-    // warm simplex is probed first and the restarts run only when it
-    // regresses, and the winner must finally beat the current exact
-    // LML before the refit is kept. That branch returns on its own
-    // below; everything past it is the pre-subset code path, byte
-    // identical for small histories.
-    std::vector<opt::NmResult> runs;
-    const std::optional<RadialForm> form = radialFormFor(kernel_->name());
-    const size_t n_hist = x_.size();
-    const size_t m_sub = std::min(options.subset_size, n_hist);
-    const bool subset_tier = form.has_value() &&
-                             options.subset_threshold > 0 &&
-                             n_hist >= options.subset_threshold &&
-                             m_sub >= 2 && m_sub < n_hist;
-    if (subset_tier) {
+    // From kSubsetThreshold samples on, probes rank hyper-vectors by
+    // the LML of a deterministic score-stratified subset (O(m³) per
+    // evaluation instead of O(n³)), the persisted warm simplex is
+    // probed first and the restarts run only when it regresses, and
+    // the winner must finally beat the current exact LML before the
+    // refit is kept. That branch returns on its own below; everything
+    // past it is the full-history path.
+    const RadialForm form = radialFormFor(kernel_->name());
+    if (x_.size() >= kSubsetThreshold) {
+        const size_t m_sub = kSubsetSize;
         fit_stats_.subset_used = true;
 
         // Materialize the subset problem: packed pair distances pulled
@@ -610,7 +603,7 @@ GaussianProcess::optimizeHyperparameters(Rng& rng,
         sp.dims = kernel_->dims();
         sp.isotropic = kernel_->isotropic();
         sp.fit_noise = fit_noise;
-        sp.form = *form;
+        sp.form = form;
         sp.noise_variance = noise_variance_;
         std::vector<double> sub_sqd(m_sub * (m_sub - 1) / 2);
         {
@@ -677,8 +670,9 @@ GaussianProcess::optimizeHyperparameters(Rng& rng,
                                                   scratch);
                     });
             };
-            runs = opt::nelderMeadMultiStart(make_subset_objective,
-                                             starts, nm, &globalPool());
+            const std::vector<opt::NmResult> runs =
+                opt::nelderMeadMultiStart(make_subset_objective, starts, nm,
+                                          &globalPool());
             cand_val = runs[0].f0;
             for (const opt::NmResult& r : runs) {
                 fit_stats_.probe_evals += uint64_t(r.evaluations);
@@ -722,51 +716,46 @@ GaussianProcess::optimizeHyperparameters(Rng& rng,
         warm_scale_ = std::clamp(step, 0.05, 0.5);
         return -final_neg;
     }
-    if (form.has_value()) {
-        FastLmlProblem problem;
-        problem.n = x_.size();
-        problem.dims = kernel_->dims();
-        problem.isotropic = kernel_->isotropic();
-        problem.fit_noise = fit_noise;
-        problem.form = *form;
-        problem.noise_variance = noise_variance_;
-        problem.pair_sqdist = pair_sqdist_.data();
-        problem.ys_std = ys_std_.data();
-        // ARD: dimension-major copy of the training panel, built once
-        // per search — each probe contracts length-scales against this
-        // d×n block via the weighted-Gram identity.
-        std::vector<double> x_t;
-        if (!problem.isotropic) {
-            const size_t d = problem.dims;
-            const size_t n = x_.size();
-            x_t.resize(d * n);
-            for (size_t i = 0; i < n; ++i)
-                for (size_t k = 0; k < d; ++k)
-                    x_t[k * n + i] = x_[i][k];
-            problem.x_t = x_t.data();
-        }
 
-        // The probes are pure (per-thread scratch, shared immutable
-        // problem), so the restarts fan out across the pool; results
-        // come back in start order regardless of thread count. Scratch
-        // is thread-local — a run only ever evaluates on the thread
-        // that claimed it, and scratch contents never affect values —
-        // so repeated searches are allocation-free in steady state.
-        auto make_objective = [&problem](size_t) {
-            return std::function<double(const std::vector<double>&)>(
-                [&problem](const std::vector<double>& p) {
-                    static thread_local FastLmlScratch scratch;
-                    return fastNegLogMarginal(problem, p.data(),
-                                              p.size(), scratch);
-                });
-        };
-        runs = opt::nelderMeadMultiStart(make_objective, starts, nm,
-                                         &globalPool());
-    } else {
-        runs.reserve(starts.size());
-        for (const auto& s : starts)
-            runs.push_back(opt::nelderMeadMinimize(objective, s, nm));
+    FastLmlProblem problem;
+    problem.n = x_.size();
+    problem.dims = kernel_->dims();
+    problem.isotropic = kernel_->isotropic();
+    problem.fit_noise = fit_noise;
+    problem.form = form;
+    problem.noise_variance = noise_variance_;
+    problem.pair_sqdist = pair_sqdist_.data();
+    problem.ys_std = ys_std_.data();
+    // ARD: dimension-major copy of the training panel, built once
+    // per search — each probe contracts length-scales against this
+    // d×n block via the weighted-Gram identity.
+    std::vector<double> x_t;
+    if (!problem.isotropic) {
+        const size_t d = problem.dims;
+        const size_t n = x_.size();
+        x_t.resize(d * n);
+        for (size_t i = 0; i < n; ++i)
+            for (size_t k = 0; k < d; ++k)
+                x_t[k * n + i] = x_[i][k];
+        problem.x_t = x_t.data();
     }
+
+    // The probes are pure (per-thread scratch, shared immutable
+    // problem), so the restarts fan out across the pool; results
+    // come back in start order regardless of thread count. Scratch
+    // is thread-local — a run only ever evaluates on the thread
+    // that claimed it, and scratch contents never affect values —
+    // so repeated searches are allocation-free in steady state.
+    auto make_objective = [&problem](size_t) {
+        return std::function<double(const std::vector<double>&)>(
+            [&problem](const std::vector<double>& p) {
+                static thread_local FastLmlScratch scratch;
+                return fastNegLogMarginal(problem, p.data(), p.size(),
+                                          scratch);
+            });
+    };
+    const std::vector<opt::NmResult> runs = opt::nelderMeadMultiStart(
+        make_objective, starts, nm, &globalPool());
 
     // Winner by strict improvement in start order — the tie-break the
     // serial loop applied. The baseline to beat is the objective at
@@ -786,14 +775,12 @@ GaussianProcess::optimizeHyperparameters(Rng& rng,
     fit_stats_.improved = improved;
 
     // When no run strictly beat the start, the winner IS the current
-    // hyper-parameters — and on the fast-probe path the model state
-    // still reflects them (probes are stateless, and the class
-    // invariant keeps chol_/α consistent with the current kernel at
-    // entry), so re-applying them would rebuild byte-identical state.
-    // Skip the O(n³) refit and report the current fit's likelihood.
-    // The exact fallback path cannot skip: its probes refit in place,
-    // so the model must be restored to the winner regardless.
-    if (!improved && form.has_value())
+    // hyper-parameters — and the model state still reflects them
+    // (probes are stateless, and the class invariant keeps chol_/α
+    // consistent with the current kernel at entry), so re-applying
+    // them would rebuild byte-identical state. Skip the O(n³) refit
+    // and report the current fit's likelihood.
+    if (!improved)
         return logMarginalLikelihood();
 
     // Apply the winner and leave the model refit with it.

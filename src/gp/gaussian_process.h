@@ -58,21 +58,22 @@ struct GpFitOptions
 {
     int restarts = 2;          ///< Extra random restarts beyond current.
     int max_iters = 80;        ///< Nelder-Mead iterations per restart.
-    double log_param_range = 2.0; ///< Restart log-param perturbation.
     bool fit_noise = true;     ///< Also optimize the noise variance.
-
-    /**
-     * History size at which probes switch to the subset tier: above
-     * it, Nelder-Mead probes rank hyper-vectors by the LML of a
-     * deterministic, score-stratified subset of the training set and
-     * only the winner is re-evaluated (and the model refit) through
-     * the exact O(n³) objective. Below it the search is byte-identical
-     * to the pre-subset implementation. 0 disables the tier.
-     */
-    size_t subset_threshold = 96;
-    /** Subset size used by the probe tier (clamped to n). */
-    size_t subset_size = 64;
 };
+
+/**
+ * History size at which hyper-fit probes switch to the subset tier:
+ * from it on, Nelder-Mead probes rank hyper-vectors by the LML of a
+ * deterministic, score-stratified subset of kSubsetSize training
+ * points and only the winner is re-evaluated (and the model refit)
+ * through the exact O(n³) objective. Below it every probe sees the
+ * full history.
+ */
+constexpr size_t kSubsetThreshold = 96;
+/** Training points in the subset tier's probe problem. */
+constexpr size_t kSubsetSize = 64;
+static_assert(kSubsetSize >= 2 && kSubsetSize < kSubsetThreshold,
+              "the probe subset must be a strict subset of the history");
 
 /**
  * What the last optimizeHyperparameters() call actually did — the

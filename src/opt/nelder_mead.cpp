@@ -10,6 +10,13 @@
 namespace clite {
 namespace opt {
 
+namespace {
+
+constexpr double kFTol = 1e-8; ///< Stop when the simplex f-spread is below.
+constexpr double kXTol = 1e-8; ///< Stop when the simplex diameter is below.
+
+} // namespace
+
 NmResult
 nelderMeadMinimize(
     const std::function<double(const std::vector<double>&)>& f,
@@ -51,7 +58,7 @@ nelderMeadMinimize(
             diameter = std::max(
                 diameter,
                 std::fabs(simplex[worst][i] - simplex[best][i]));
-        if (f_spread < options.f_tol || diameter < options.x_tol) {
+        if (f_spread < kFTol || diameter < kXTol) {
             result.converged = true;
             break;
         }

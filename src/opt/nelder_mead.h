@@ -26,8 +26,6 @@ struct NmOptions
 {
     int max_iters = 200;        ///< Maximum simplex iterations.
     double initial_scale = 0.5; ///< Initial simplex edge length.
-    double f_tol = 1e-8;        ///< Stop when simplex f-spread is below.
-    double x_tol = 1e-8;        ///< Stop when simplex diameter is below.
 };
 
 /** Result of a minimization run. */

@@ -8,6 +8,14 @@
 namespace clite {
 namespace opt {
 
+namespace {
+
+constexpr double kInitialStep = 2.0;     ///< First trial step length.
+constexpr int kMaxBacktracks = 12;       ///< Armijo halvings per iteration.
+constexpr double kMinImprovement = 1e-8; ///< Smaller gains stop the ascent.
+
+} // namespace
+
 ProjectedGradientOptimizer::ProjectedGradientOptimizer(
     std::vector<SimplexBlock> blocks, size_t dimension, PgOptions options)
     : blocks_(std::move(blocks)), dimension_(dimension), options_(options)
@@ -121,16 +129,16 @@ ProjectedGradientOptimizer::maximize(const Objective& f,
             gradient(f, fb ? &fb : nullptr, x, &result.evaluations);
 
         // Backtracking along the projected arc: x(t) = P(x + t g).
-        double step = options_.initial_step;
+        double step = kInitialStep;
         bool improved = false;
-        for (int bt = 0; bt < options_.max_backtracks; ++bt) {
+        for (int bt = 0; bt < kMaxBacktracks; ++bt) {
             std::vector<double> trial = x;
             for (size_t i = 0; i < dimension_; ++i)
                 trial[i] += step * g[i];
             trial = project(trial);
             double ft = f(trial);
             ++result.evaluations;
-            if (ft > fx + options_.tol) {
+            if (ft > fx + kMinImprovement) {
                 x = std::move(trial);
                 fx = ft;
                 improved = true;

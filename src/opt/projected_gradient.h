@@ -39,10 +39,7 @@ struct SimplexBlock
 struct PgOptions
 {
     int max_iters = 60;       ///< Outer ascent iterations.
-    double initial_step = 2.0;///< First trial step length.
-    int max_backtracks = 12;  ///< Armijo halvings per iteration.
     double fd_step = 1e-3;    ///< Finite-difference half-step.
-    double tol = 1e-8;        ///< Stop when the improvement drops below.
 };
 
 /** Result of one maximize() call. */

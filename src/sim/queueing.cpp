@@ -2,80 +2,14 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstddef>
-#include <utility>
+#include <limits>
+#include <vector>
 
 #include "common/error.h"
-#include <limits>
-
 #include "stats/distributions.h"
-#include "stats/summary.h"
 
 namespace clite {
 namespace sim {
-
-QueueingStation::QueueingStation(Simulator& simulator, int servers,
-                                 double arrival_rate, ServiceSampler sampler,
-                                 Rng& rng)
-    : sim_(simulator),
-      servers_(servers),
-      arrival_rate_(arrival_rate),
-      sampler_(std::move(sampler)),
-      rng_(rng)
-{
-    CLITE_CHECK(servers_ >= 1, "station needs >= 1 server, got " << servers_);
-    CLITE_CHECK(arrival_rate_ >= 0.0, "arrival rate must be >= 0");
-    CLITE_CHECK(sampler_ != nullptr, "station needs a service sampler");
-}
-
-void
-QueueingStation::start()
-{
-    if (arrival_rate_ <= 0.0)
-        return;
-    sim_.schedule(rng_.exponential(arrival_rate_), [this] { onArrival(); });
-}
-
-void
-QueueingStation::resetMeasurements()
-{
-    response_.clear();
-}
-
-void
-QueueingStation::onArrival()
-{
-    // Schedule the next arrival first (renewal process).
-    sim_.schedule(rng_.exponential(arrival_rate_), [this] { onArrival(); });
-
-    SimTime arrival = sim_.now();
-    if (busy_ < servers_)
-        beginService(arrival);
-    else
-        waiting_.push_back(arrival);
-}
-
-void
-QueueingStation::beginService(SimTime arrival_time)
-{
-    ++busy_;
-    double service = sampler_(rng_);
-    CLITE_ASSERT(service >= 0.0, "negative service time sampled");
-    sim_.schedule(service,
-                  [this, arrival_time] { onDeparture(arrival_time); });
-}
-
-void
-QueueingStation::onDeparture(SimTime arrival_time)
-{
-    --busy_;
-    response_.push_back(sim_.now() - arrival_time);
-    if (!waiting_.empty()) {
-        SimTime next = waiting_.front();
-        waiting_.pop_front();
-        beginService(next);
-    }
-}
 
 namespace {
 
@@ -119,12 +53,11 @@ selectPercentile(std::vector<double>& v, double q, size_t& frontier)
 }
 
 /**
- * Window summary shared by both measureStation implementations: mean
- * through RunningStats in recording order, percentiles through rank
- * selection on one scratch copy — bit-identical to three separate
- * stats::percentile calls (selection places the exact elements a full
- * sort would at the ranks the interpolation reads; pinned against
- * stats::percentile by tests/sim/queueing_fast_test.cpp).
+ * Window summary: percentiles through rank selection on one scratch
+ * copy — bit-identical to three separate stats::percentile calls
+ * (selection places the exact elements a full sort would at the ranks
+ * the interpolation reads; pinned against stats::percentile by
+ * tests/sim/queueing_fast_test.cpp).
  */
 TailMeasurement
 summarizeWindow(const std::vector<double>& rt, double window,
@@ -162,12 +95,12 @@ summarizeWindow(const std::vector<double>& rt, double window,
 /** An in-service request: departure event plus its arrival stamp. */
 struct Departure
 {
-    SimTime time;
+    double time;
     uint64_t seq;
-    SimTime arrival;
+    double arrival;
 };
 
-/** Event order of the generic simulator: (time, seq) ascending. */
+/** Event order of a generic calendar simulator: (time, seq) ascending. */
 inline bool
 departsBefore(const Departure& a, const Departure& b)
 {
@@ -185,7 +118,7 @@ struct StationScratch
 {
     std::vector<Departure> in_service; ///< unsorted, size <= c
     size_t min_idx = 0;                ///< index of the next departure
-    std::vector<SimTime> waiting;      ///< FIFO ring (head index below)
+    std::vector<double> waiting;       ///< FIFO ring (head index below)
     size_t waiting_head = 0;
     std::vector<double> response;
     std::vector<double> sort_buf;
@@ -277,9 +210,7 @@ struct FixedService
  * Bounded-Pareto inverse-CDF sampler with the constant parts hoisted:
  * x = L * (1 - u * (1 - (L/H)^alpha))^(-1/alpha), one uniform draw per
  * request. ratio_term caches 1 - (L/H)^alpha (computed as
- * 1 - ratio^-alpha) and neg_inv_alpha caches -1/alpha; the reference
- * path's lambda evaluates the identical expression from the identical
- * hoisted operands, so the two paths stay bit-identical.
+ * 1 - ratio^-alpha) and neg_inv_alpha caches -1/alpha.
  */
 struct BoundedParetoService
 {
@@ -297,12 +228,6 @@ struct BoundedParetoService
 BoundedParetoService
 makeParetoSampler(const ServiceModel& service)
 {
-    CLITE_CHECK(service.pareto_alpha > 1.0,
-                "bounded Pareto service needs alpha > 1, got "
-                    << service.pareto_alpha);
-    CLITE_CHECK(service.pareto_tail_ratio > 1.0,
-                "bounded Pareto service needs tail ratio > 1, got "
-                    << service.pareto_tail_ratio);
     const double lower = stats::boundedParetoLowerForMean(
         service.mean_service, service.pareto_alpha,
         service.pareto_tail_ratio);
@@ -317,10 +242,10 @@ makeParetoSampler(const ServiceModel& service)
  * pending (the renewal process schedules its successor first), so the
  * generic event queue collapses to one (time, seq) pair plus the <= c
  * entry in-service set. Sequence numbers are assigned in the same
- * order the generic path calls schedule(), and the next event is
- * chosen by the same (time, seq) order, so the RNG draw order — and
- * therefore every response time — is bit-identical to
- * measureStationReference.
+ * order a generic simulator's station calls schedule(), and the next
+ * event is chosen by the same (time, seq) order, so the RNG draw order
+ * — and therefore every response time — is bit-identical to that
+ * simulator's (the tests/sim/ oracle).
  */
 template <typename Sampler>
 TailMeasurement
@@ -370,8 +295,8 @@ runStationLoop(int servers, double arrival_rate, double warmup, double span,
                 scratch.in_service[scratch.min_idx].arrival;
             popService(scratch, head_time, head_seq);
             --busy;
-            // The reference clears warm-up responses at t == warmup,
-            // so only strictly later departures are measured.
+            // Warm-up responses are discarded at t == warmup, so only
+            // strictly later departures are measured.
             if (now > warmup)
                 scratch.response.push_back(now - dep_arrival);
             if (queued > 0) {
@@ -407,67 +332,26 @@ effectiveWindow(double window, double arrival_rate, uint64_t event_budget)
 }
 
 TailMeasurement
-measureStation(int servers, double arrival_rate, double mean_service,
-               double service_sigma, double warmup, double window, Rng& rng,
-               uint64_t event_budget)
-{
-    CLITE_CHECK(servers >= 1, "station needs >= 1 server, got " << servers);
-    CLITE_CHECK(arrival_rate >= 0.0, "arrival rate must be >= 0");
-    CLITE_CHECK(mean_service > 0.0, "mean service time must be > 0");
-    CLITE_CHECK(window > 0.0, "measurement window must be > 0");
-
-    const double span = effectiveWindow(window, arrival_rate, event_budget);
-    StationScratch& scratch = t_scratch;
-    scratch.in_service.clear();
-    scratch.min_idx = 0;
-    scratch.waiting.clear();
-    scratch.waiting_head = 0;
-    scratch.response.clear();
-
-    if (arrival_rate <= 0.0)
-        return summarizeWindow(scratch.response, span, scratch.sort_buf);
-
-    if (service_sigma > 0.0) {
-        // Hoisted logNormalMean(mean, sigma): see LogNormalService.
-        const double mu = std::log(mean_service) -
-                          0.5 * service_sigma * service_sigma;
-        return runStationLoop(servers, arrival_rate, warmup, span,
-                              LogNormalService{mu, service_sigma}, rng);
-    }
-    if (service_sigma < 0.0)
-        return runStationLoop(servers, arrival_rate, warmup, span,
-                              ExponentialService{1.0 / mean_service}, rng);
-    return runStationLoop(servers, arrival_rate, warmup, span,
-                          FixedService{mean_service}, rng);
-}
-
-TailMeasurement
 measureStation(int servers, double arrival_rate, const ServiceModel& service,
                double warmup, double window, Rng& rng, uint64_t event_budget)
 {
-    switch (service.kind) {
-    case ServiceModel::Kind::LogNormal:
-        CLITE_CHECK(service.sigma > 0.0,
-                    "log-normal service needs sigma > 0, got "
-                        << service.sigma);
-        return measureStation(servers, arrival_rate, service.mean_service,
-                              service.sigma, warmup, window, rng,
-                              event_budget);
-    case ServiceModel::Kind::Exponential:
-        return measureStation(servers, arrival_rate, service.mean_service,
-                              -1.0, warmup, window, rng, event_budget);
-    case ServiceModel::Kind::Fixed:
-        return measureStation(servers, arrival_rate, service.mean_service,
-                              0.0, warmup, window, rng, event_budget);
-    case ServiceModel::Kind::BoundedPareto:
-        break;
-    }
-
     CLITE_CHECK(servers >= 1, "station needs >= 1 server, got " << servers);
     CLITE_CHECK(arrival_rate >= 0.0, "arrival rate must be >= 0");
     CLITE_CHECK(service.mean_service > 0.0,
                 "mean service time must be > 0");
     CLITE_CHECK(window > 0.0, "measurement window must be > 0");
+    if (service.kind == ServiceModel::Kind::LogNormal)
+        CLITE_CHECK(service.sigma > 0.0,
+                    "log-normal service needs sigma > 0, got "
+                        << service.sigma);
+    if (service.kind == ServiceModel::Kind::BoundedPareto) {
+        CLITE_CHECK(service.pareto_alpha > 1.0,
+                    "bounded Pareto service needs alpha > 1, got "
+                        << service.pareto_alpha);
+        CLITE_CHECK(service.pareto_tail_ratio > 1.0,
+                    "bounded Pareto service needs tail ratio > 1, got "
+                        << service.pareto_tail_ratio);
+    }
 
     const double span = effectiveWindow(window, arrival_rate, event_budget);
     StationScratch& scratch = t_scratch;
@@ -480,8 +364,26 @@ measureStation(int servers, double arrival_rate, const ServiceModel& service,
     if (arrival_rate <= 0.0)
         return summarizeWindow(scratch.response, span, scratch.sort_buf);
 
-    return runStationLoop(servers, arrival_rate, warmup, span,
-                          makeParetoSampler(service), rng);
+    const double mean = service.mean_service;
+    switch (service.kind) {
+    case ServiceModel::Kind::Exponential:
+        return runStationLoop(servers, arrival_rate, warmup, span,
+                              ExponentialService{1.0 / mean}, rng);
+    case ServiceModel::Kind::LogNormal: {
+        // Hoisted logNormalMean(mean, sigma): see LogNormalService.
+        const double sigma = service.sigma;
+        const double mu = std::log(mean) - 0.5 * sigma * sigma;
+        return runStationLoop(servers, arrival_rate, warmup, span,
+                              LogNormalService{mu, sigma}, rng);
+    }
+    case ServiceModel::Kind::Fixed:
+        return runStationLoop(servers, arrival_rate, warmup, span,
+                              FixedService{mean}, rng);
+    case ServiceModel::Kind::BoundedPareto:
+        return runStationLoop(servers, arrival_rate, warmup, span,
+                              makeParetoSampler(service), rng);
+    }
+    CLITE_THROW("unknown service kind");
 }
 
 void
@@ -502,90 +404,6 @@ prewarmMeasurementScratch(int max_servers, size_t expected_requests)
         if (scratch.waiting.capacity() < backlog)
             scratch.waiting.reserve(backlog);
     }
-}
-
-TailMeasurement
-measureStationReference(int servers, double arrival_rate, double mean_service,
-                        double service_sigma, double warmup, double window,
-                        Rng& rng, uint64_t event_budget)
-{
-    CLITE_CHECK(mean_service > 0.0, "mean service time must be > 0");
-    CLITE_CHECK(window > 0.0, "measurement window must be > 0");
-
-    const double span = effectiveWindow(window, arrival_rate, event_budget);
-    // Pooled-simulator reuse: clear() resets to a fresh clock but keeps
-    // the heap and callback-slab capacity, so repeated measurements on
-    // one thread stop re-growing the event storage from zero.
-    thread_local Simulator simulator;
-    simulator.clear();
-    simulator.reserve(size_t(servers) + 2);
-    QueueingStation::ServiceSampler sampler;
-    if (service_sigma > 0.0) {
-        sampler = [mean_service, service_sigma](Rng& r) {
-            return r.logNormalMean(mean_service, service_sigma);
-        };
-    } else if (service_sigma < 0.0) {
-        // Exponential service: the M/M/c case of the analytic model.
-        sampler = [mean_service](Rng& r) {
-            return r.exponential(1.0 / mean_service);
-        };
-    } else {
-        sampler = [mean_service](Rng&) { return mean_service; };
-    }
-
-    QueueingStation station(simulator, servers, arrival_rate, sampler, rng);
-    station.start();
-    simulator.runUntil(warmup);
-    station.resetMeasurements();
-    simulator.runUntil(warmup + span);
-
-    std::vector<double> sort_buf;
-    return summarizeWindow(station.responseTimes(), span, sort_buf);
-}
-
-TailMeasurement
-measureStationReference(int servers, double arrival_rate,
-                        const ServiceModel& service, double warmup,
-                        double window, Rng& rng, uint64_t event_budget)
-{
-    if (service.kind != ServiceModel::Kind::BoundedPareto) {
-        double sigma = 0.0;
-        if (service.kind == ServiceModel::Kind::LogNormal) {
-            CLITE_CHECK(service.sigma > 0.0,
-                        "log-normal service needs sigma > 0, got "
-                            << service.sigma);
-            sigma = service.sigma;
-        } else if (service.kind == ServiceModel::Kind::Exponential) {
-            sigma = -1.0;
-        }
-        return measureStationReference(servers, arrival_rate,
-                                       service.mean_service, sigma, warmup,
-                                       window, rng, event_budget);
-    }
-
-    CLITE_CHECK(service.mean_service > 0.0,
-                "mean service time must be > 0");
-    CLITE_CHECK(window > 0.0, "measurement window must be > 0");
-
-    const double span = effectiveWindow(window, arrival_rate, event_budget);
-    thread_local Simulator simulator;
-    simulator.clear();
-    simulator.reserve(size_t(servers) + 2);
-    // The same hoisted operands and expression as BoundedParetoService,
-    // so the reference stream is bit-identical to the fast path.
-    const BoundedParetoService pareto = makeParetoSampler(service);
-    QueueingStation::ServiceSampler sampler = [pareto](Rng& r) {
-        return pareto(r);
-    };
-
-    QueueingStation station(simulator, servers, arrival_rate, sampler, rng);
-    station.start();
-    simulator.runUntil(warmup);
-    station.resetMeasurements();
-    simulator.runUntil(warmup + span);
-
-    std::vector<double> sort_buf;
-    return summarizeWindow(station.responseTimes(), span, sort_buf);
 }
 
 } // namespace sim

@@ -1,6 +1,7 @@
 /**
  * @file
- * Multi-server queueing station on the discrete-event core.
+ * Multi-server queueing station: the discrete-event measurement behind
+ * the DES performance-model backend.
  *
  * Models one latency-critical service the way the paper's testbed does:
  * a load generator (Poisson arrivals at the offered QPS) feeding c
@@ -10,97 +11,27 @@
  * tail latency over an observation window, exactly the quantity CLITE's
  * score function consumes.
  *
- * Two drivers produce the windowed measurement:
- *
- *  - measureStation() — the production path. A specialized M/G/c loop
- *    that tracks the one pending arrival and the <= c in-service
- *    departures directly (no generic event queue, no std::function
- *    samplers) and reuses thread-local buffers across calls, so a
- *    QueueingSimModel window allocates nothing in steady state. Its
- *    event processing order and RNG draw order replicate the generic
- *    simulator exactly, so every field of the result is bit-identical
- *    to measureStationReference (pinned per seed by
- *    tests/sim/queueing_fast_test.cpp).
- *  - measureStationReference() — the same measurement through
- *    QueueingStation on the generic Simulator: the readable oracle the
- *    fast path is verified against.
+ * measureStation() is a specialized M/G/c loop: it tracks the one
+ * pending arrival and the <= c in-service departures directly (no
+ * generic event queue, no std::function samplers) and reuses
+ * thread-local buffers across calls, so a QueueingSimModel window
+ * allocates nothing in steady state. Its event order and RNG draw
+ * order are those of a generic calendar simulator running a textbook
+ * queueing station; tests/sim/ keeps that simulator as the oracle and
+ * pins every result field and the RNG end state against it, bit for
+ * bit, for every service kind (tests/sim/queueing_fast_test.cpp).
  */
 
 #ifndef CLITE_SIM_QUEUEING_H
 #define CLITE_SIM_QUEUEING_H
 
+#include <cstddef>
 #include <cstdint>
-#include <deque>
-#include <functional>
-#include <vector>
 
 #include "common/rng.h"
-#include "sim/event_queue.h"
 
 namespace clite {
 namespace sim {
-
-/**
- * A c-server FIFO queueing station driven by Poisson arrivals.
- */
-class QueueingStation
-{
-  public:
-    /** Sampler for one request's service time (seconds). */
-    using ServiceSampler = std::function<double(Rng&)>;
-
-    /**
-     * @param simulator Event core; must outlive the station.
-     * @param servers Number of servers c (>= 1).
-     * @param arrival_rate Poisson arrival rate λ in requests/second
-     *     (0 disables arrivals).
-     * @param sampler Service-time sampler.
-     * @param rng Randomness; must outlive the station.
-     */
-    QueueingStation(Simulator& simulator, int servers, double arrival_rate,
-                    ServiceSampler sampler, Rng& rng);
-
-    /** Begin generating arrivals (schedules the first arrival). */
-    void start();
-
-    /**
-     * Drop response times recorded so far — used to discard warm-up
-     * transients before the measured observation window.
-     */
-    void resetMeasurements();
-
-    /** Response times (seconds) completed since the last reset. */
-    const std::vector<double>& responseTimes() const { return response_; }
-
-    /** Requests completed since the last reset. */
-    size_t completedCount() const { return response_.size(); }
-
-    /** Requests currently waiting (excludes in-service). */
-    size_t queuedCount() const { return waiting_.size(); }
-
-    /** Servers currently busy. */
-    int busyServers() const { return busy_; }
-
-  private:
-    /** Handle one arrival: enter service or queue. */
-    void onArrival();
-
-    /** Start service for the request that arrived at @p arrival_time. */
-    void beginService(SimTime arrival_time);
-
-    /** A server finished the request that arrived at @p arrival_time. */
-    void onDeparture(SimTime arrival_time);
-
-    Simulator& sim_;
-    int servers_;
-    double arrival_rate_;
-    ServiceSampler sampler_;
-    Rng& rng_;
-
-    int busy_ = 0;
-    std::deque<SimTime> waiting_; // arrival times of queued requests
-    std::vector<double> response_;
-};
 
 /** Result of a windowed tail-latency measurement. */
 struct TailMeasurement
@@ -132,34 +63,7 @@ constexpr uint64_t kMinEventBudget = 64;
 double effectiveWindow(double window, double arrival_rate,
                        uint64_t event_budget);
 
-/**
- * Convenience driver: simulate an M/G/c station with log-normal service
- * times for @p warmup + @p window seconds and summarize the measured
- * window (the paper's two-second observation period).
- *
- * @param servers Number of servers c.
- * @param arrival_rate Offered load λ (requests/second).
- * @param mean_service Mean service time (seconds).
- * @param service_sigma Service distribution selector: > 0 gives
- *     log-normal service with that sigma, 0 deterministic service,
- *     < 0 exponential service (the M/M/c case).
- * @param warmup Transient to discard (seconds).
- * @param window Measured window (seconds).
- * @param rng Randomness.
- * @param event_budget Cap on the expected number of measured requests;
- *     0 (the default) measures the full window. See effectiveWindow().
- */
-TailMeasurement measureStation(int servers, double arrival_rate,
-                               double mean_service, double service_sigma,
-                               double warmup, double window, Rng& rng,
-                               uint64_t event_budget = 0);
-
-/**
- * Explicit service-time distribution for the ServiceModel overload of
- * measureStation — the extensible successor to the legacy sigma-sign
- * selector (which cannot express distributions with more than one
- * shape parameter, like the bounded Pareto).
- */
+/** Service-time distribution of a measured station. */
 struct ServiceModel
 {
     enum class Kind {
@@ -181,13 +85,22 @@ struct ServiceModel
 };
 
 /**
- * measureStation with an explicit ServiceModel. For Exponential,
- * LogNormal and Fixed this delegates to the legacy sigma-selector
- * entry point (same RNG stream, bit-identical results — pinned by
- * tests/sim/queueing_pareto_test.cpp); BoundedPareto runs the same
- * specialized loop with a bounded-Pareto inverse-CDF sampler (one
- * uniform draw per request), parameterized so the distribution mean
- * equals service.mean_service.
+ * Simulate an M/G/c station for @p warmup + @p window seconds and
+ * summarize the measured window (the paper's two-second observation
+ * period). Every ServiceModel field the kind reads is validated up
+ * front, before the zero-load early return. BoundedPareto draws by
+ * inverse CDF (one uniform per request), parameterized so the
+ * distribution mean equals service.mean_service.
+ *
+ * @param servers Number of servers c (>= 1).
+ * @param arrival_rate Offered load λ (requests/second, >= 0).
+ * @param service Service-time distribution.
+ * @param warmup Transient to discard (seconds).
+ * @param window Measured window (seconds, > 0).
+ * @param rng Randomness.
+ * @param event_budget Cap on the expected number of measured requests;
+ *     0 (the default) measures the full window. See effectiveWindow().
+ * @throws clite::Error on an invalid station or service model.
  */
 TailMeasurement measureStation(int servers, double arrival_rate,
                                const ServiceModel& service, double warmup,
@@ -206,27 +119,6 @@ TailMeasurement measureStation(int servers, double arrival_rate,
  * repeat calls only ever grow the reservation.
  */
 void prewarmMeasurementScratch(int max_servers, size_t expected_requests);
-
-/**
- * Reference implementation of measureStation through QueueingStation
- * on the generic (pooled-heap) Simulator — same parameters, same
- * result, bit for bit. Kept as the oracle for the fast path's
- * determinism tests and for readers who want the measurement spelled
- * out in simulation primitives.
- */
-TailMeasurement measureStationReference(int servers, double arrival_rate,
-                                        double mean_service,
-                                        double service_sigma, double warmup,
-                                        double window, Rng& rng,
-                                        uint64_t event_budget = 0);
-
-/** measureStationReference with an explicit ServiceModel (the oracle
-    for the ServiceModel fast path, including BoundedPareto). */
-TailMeasurement measureStationReference(int servers, double arrival_rate,
-                                        const ServiceModel& service,
-                                        double warmup, double window,
-                                        Rng& rng,
-                                        uint64_t event_budget = 0);
 
 } // namespace sim
 } // namespace clite

@@ -53,7 +53,7 @@ struct SignatureJob
      * existed — but a trace-driven mix can never alias a static
      * profile (or a different trace shape) as an exact hit.
      */
-    std::string trace_kind;
+    std::string trace_kind{};
 };
 
 /**

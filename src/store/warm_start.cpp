@@ -109,8 +109,7 @@ allocationFromCells(const std::vector<int32_t>& cells,
 
 core::WarmStart
 warmStartFromSnapshot(const Snapshot& snap,
-                      const platform::SimulatedServer& server,
-                      const WarmStartOptions& options, bool exact)
+                      const platform::SimulatedServer& server, bool exact)
 {
     core::WarmStart warm;
     const platform::ServerConfig& config = server.config();
@@ -150,7 +149,7 @@ warmStartFromSnapshot(const Snapshot& snap,
         return sa.score > sb.score;
     });
     for (size_t idx : order) {
-        if (int(warm.configs.size()) >= options.max_configs)
+        if (warm.configs.size() >= kWarmStartMaxConfigs)
             break;
         std::optional<platform::Allocation> alloc =
             allocationFromCells(snap.samples[idx].cells, perm, config);

@@ -21,20 +21,15 @@
 namespace clite {
 namespace store {
 
-/** Warm-start extraction knobs. */
-struct WarmStartOptions
-{
-    /** Prior configurations (beyond the incumbent) to re-evaluate. */
-    int max_configs = 3;
-    /**
-     * Maximum signature distance for a similar-mix prior (sum of
-     * absolute load-level differences across jobs).
-     */
-    double max_distance = 0.35;
-};
+/** Prior configurations (beyond the incumbent) a warm start seeds. */
+constexpr size_t kWarmStartMaxConfigs = 3;
+
+/** Sample cap of a captured snapshot (best-score-first). */
+constexpr size_t kSnapshotMaxSamples = 64;
 
 /**
- * Turn @p snap into a WarmStart for @p server's current mix.
+ * Turn @p snap into a WarmStart for @p server's current mix: its
+ * incumbent plus up to kWarmStartMaxConfigs prior configurations.
  *
  * @param exact True when the snapshot's signature matched the mix
  *     exactly (enables trusted_feasible when the prior converged with
@@ -42,9 +37,9 @@ struct WarmStartOptions
  *     configurations and keeps the full infeasibility bootstrap.
  * @return An empty WarmStart when the snapshot does not fit @p server.
  */
-core::WarmStart warmStartFromSnapshot(
-    const Snapshot& snap, const platform::SimulatedServer& server,
-    const WarmStartOptions& options, bool exact);
+core::WarmStart warmStartFromSnapshot(const Snapshot& snap,
+                                      const platform::SimulatedServer& server,
+                                      bool exact);
 
 /**
  * Capture controller state into a Snapshot: @p server's current mix
@@ -60,7 +55,8 @@ Snapshot captureSnapshot(const platform::SimulatedServer& server,
                          const core::ControllerResult& result,
                          const platform::Allocation& incumbent,
                          ControllerPhase phase, bool incumbent_qos_met,
-                         uint64_t windows, size_t max_samples = 64);
+                         uint64_t windows,
+                         size_t max_samples = kSnapshotMaxSamples);
 
 } // namespace store
 } // namespace clite

@@ -256,27 +256,26 @@ QueueingSimModel::measure(const JobSpec& job, const std::vector<int>& units,
         return m;
     }
 
-    sim::TailMeasurement tm;
-    if (job.profile.service_distribution ==
-        ServiceDistribution::BoundedPareto) {
-        // Heavy-tailed service: the ServiceModel entry point (the
-        // legacy sigma selector cannot carry two shape parameters).
-        sim::ServiceModel service;
+    sim::ServiceModel service;
+    service.mean_service = cost.service_ms / 1000.0;
+    switch (job.profile.service_distribution) {
+    case ServiceDistribution::Exponential:
+        // Matches the analytic backend's M/M/c.
+        service.kind = sim::ServiceModel::Kind::Exponential;
+        break;
+    case ServiceDistribution::LogNormal:
+        service.kind = sim::ServiceModel::Kind::LogNormal;
+        service.sigma = job.profile.service_sigma;
+        break;
+    case ServiceDistribution::BoundedPareto:
         service.kind = sim::ServiceModel::Kind::BoundedPareto;
-        service.mean_service = cost.service_ms / 1000.0;
         service.pareto_alpha = job.profile.pareto_alpha;
         service.pareto_tail_ratio = job.profile.pareto_tail_ratio;
-        tm = sim::measureStation(cost.cores, lambda, service, warmup_s_,
-                                 window_s_, rng, event_budget_);
-    } else {
-        double sigma =
-            job.profile.service_distribution == ServiceDistribution::LogNormal
-                ? job.profile.service_sigma
-                : -1.0; // exponential service (matches the analytic M/M/c)
-        tm = sim::measureStation(cost.cores, lambda,
-                                 cost.service_ms / 1000.0, sigma, warmup_s_,
-                                 window_s_, rng, event_budget_);
+        break;
     }
+    const sim::TailMeasurement tm = sim::measureStation(
+        cost.cores, lambda, service, warmup_s_, window_s_, rng,
+        event_budget_);
     m.p95_ms = tm.p95 * 1000.0;
     m.p99_ms = tm.p99 * 1000.0;
     m.mean_ms = tm.mean * 1000.0;

@@ -134,7 +134,7 @@ struct JobSpec
      * lookups on trace-driven mixes never alias a static profile as an
      * exact hit.
      */
-    std::string trace_kind;
+    std::string trace_kind{};
     /**
      * Mean load of the driving trace (identity load for signatures;
      * meaningful only when trace_kind is non-empty). The instantaneous

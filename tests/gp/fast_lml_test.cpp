@@ -18,6 +18,7 @@
 #include <memory>
 #include <vector>
 
+#include "common/error.h"
 #include "common/rng.h"
 #include "common/thread_pool.h"
 #include "gp/fast_lml.h"
@@ -103,6 +104,21 @@ TEST(FastLml, BaseAndAvx2VariantsBitIdentical)
             }
         }
     }
+}
+
+/**
+ * Every kernel makeKernel() builds has a radial form, so the hyper-fit
+ * always probes through the fast tier; any other name is an error, not
+ * a silent fallback.
+ */
+TEST(FastLml, RadialFormForEveryFactoryKernel)
+{
+    EXPECT_EQ(radialFormFor(makeKernel("matern52", 2)->name()),
+              RadialForm::Matern52);
+    EXPECT_EQ(radialFormFor(makeKernel("matern32", 2)->name()),
+              RadialForm::Matern32);
+    EXPECT_EQ(radialFormFor(makeKernel("rbf", 2)->name()), RadialForm::Rbf);
+    EXPECT_THROW(radialFormFor("spline"), Error);
 }
 
 /**

@@ -39,7 +39,7 @@ sameBits(double a, double b)
     return std::memcmp(&a, &b, sizeof a) == 0;
 }
 
-/** A smooth random regression problem with n >= subset_threshold. */
+/** A smooth random regression problem with n >= kSubsetThreshold. */
 void
 makeLargeHistory(size_t n, size_t d, std::vector<linalg::Vector>& xs,
                  std::vector<double>& ys)
@@ -69,8 +69,8 @@ TEST(SubsetProbe, EngagesAboveThresholdAndIsThreadCountInvariant)
     GpFitOptions fo;
     fo.restarts = 2;
     fo.max_iters = 20;
-    ASSERT_GE(n, fo.subset_threshold);
-    ASSERT_LT(fo.subset_size, n);
+    ASSERT_GE(n, kSubsetThreshold);
+    ASSERT_LT(kSubsetSize, n);
 
     auto fit_with_threads = [&](int threads, double& lml,
                                 std::vector<double>& params,

@@ -83,10 +83,12 @@ TEST(QosRegion, SafetyMonotoneInBothResources)
         for (size_t ai = 0; ai < region.safe[bi].size(); ++ai) {
             if (!region.safe[bi][ai])
                 continue;
-            if (ai + 1 < region.safe[bi].size())
+            if (ai + 1 < region.safe[bi].size()) {
                 EXPECT_TRUE(region.safe[bi][ai + 1]);
-            if (bi + 1 < region.safe.size())
+            }
+            if (bi + 1 < region.safe.size()) {
                 EXPECT_TRUE(region.safe[bi + 1][ai]);
+            }
         }
 }
 

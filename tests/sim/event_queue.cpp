@@ -1,4 +1,4 @@
-#include "sim/event_queue.h"
+#include "event_queue.h"
 
 #include <cmath>
 #include <limits>

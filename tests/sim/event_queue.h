@@ -1,12 +1,13 @@
 /**
  * @file
- * Discrete-event simulation core.
+ * Discrete-event simulation core of the DES test oracle.
  *
  * A classic calendar/event-queue simulator: events are (time, callback)
  * pairs processed in non-decreasing time order with FIFO tie-breaking.
- * The queueing stations in sim/queueing.h are built on this, and it is
- * the substrate that stands in for "running the system for the two
- * second observation period" on the paper's physical testbed.
+ * The reference queueing station (reference_station.h) is built on it:
+ * the readable, generic form of "running the system for the two second
+ * observation period" that the specialized production loop in
+ * sim/queueing.h is pinned against, bit for bit.
  *
  * Storage layout: the pending set is a binary min-heap of POD entries
  * (time, seq, slot) over a slab of callback slots recycled through a
@@ -17,12 +18,12 @@
  * The pop order is exactly the (time, seq) order of the previous
  * std::priority_queue implementation; seq is unique per event, so the
  * order is total and independent of the container
- * (tests/sim/event_queue_test.cpp pins this against a reference
- * priority queue across random schedules).
+ * (event_queue_test.cpp pins this against a reference priority queue
+ * across random schedules).
  */
 
-#ifndef CLITE_SIM_EVENT_QUEUE_H
-#define CLITE_SIM_EVENT_QUEUE_H
+#ifndef CLITE_TESTS_SIM_EVENT_QUEUE_H
+#define CLITE_TESTS_SIM_EVENT_QUEUE_H
 
 #include <cstdint>
 #include <functional>
@@ -81,9 +82,9 @@ class Simulator
      * Reset to a freshly constructed simulator — clock at 0, no
      * pending events, counters zeroed — while keeping the heap and
      * callback-slab capacity. This is the reuse hook for drivers that
-     * run many simulations back to back (QueueingSimModel's
-     * observation windows): clear() + reserve() once, then every
-     * subsequent window schedules into recycled storage.
+     * run many simulations back to back (the reference station's
+     * measurements): clear() + reserve() once, then every subsequent
+     * window schedules into recycled storage.
      */
     void clear();
 
@@ -132,4 +133,4 @@ class Simulator
 } // namespace sim
 } // namespace clite
 
-#endif // CLITE_SIM_EVENT_QUEUE_H
+#endif // CLITE_TESTS_SIM_EVENT_QUEUE_H

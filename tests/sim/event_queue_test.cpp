@@ -12,7 +12,7 @@
 
 #include "common/error.h"
 #include "common/rng.h"
-#include "sim/event_queue.h"
+#include "event_queue.h"
 
 namespace clite {
 namespace sim {

@@ -1,16 +1,13 @@
 /**
  * @file
- * Pins the ServiceModel entry points of the DES (sim/queueing.h):
+ * Pins the bounded-Pareto service kind of the DES (sim/queueing.h):
  *
- *  - for the legacy kinds (Exponential, LogNormal, Fixed) the
- *    ServiceModel overload delegates to the sigma-selector entry point
- *    bit for bit, so existing perf-model results cannot move;
- *  - for BoundedPareto the fast path reproduces
- *    measureStationReference bit for bit across seeds and budgets;
+ *  - the fast path reproduces measureStationReference bit for bit
+ *    across seeds and budgets;
  *  - bounded-Pareto service really is heavy-tailed (p99/mean well
  *    above the light-tailed kinds at the same utilization) and its
  *    sampler's moments match the closed form within tolerance;
- *  - invalid shape parameters throw.
+ *  - invalid shape parameters throw, at zero load too.
  */
 
 #include <gtest/gtest.h>
@@ -20,6 +17,7 @@
 
 #include "common/error.h"
 #include "common/rng.h"
+#include "reference_station.h"
 #include "sim/queueing.h"
 #include "stats/distributions.h"
 
@@ -60,38 +58,6 @@ model(ServiceModel::Kind kind)
     m.kind = kind;
     m.mean_service = kMeanService;
     return m;
-}
-
-TEST(ServiceModel, LegacyKindsDelegateBitIdentically)
-{
-    // (kind, equivalent legacy sigma selector): > 0 log-normal,
-    // 0 fixed, < 0 exponential.
-    const struct
-    {
-        ServiceModel::Kind kind;
-        double sigma;
-    } cases[] = {
-        {ServiceModel::Kind::Exponential, -1.0},
-        {ServiceModel::Kind::LogNormal, 0.45},
-        {ServiceModel::Kind::Fixed, 0.0},
-    };
-    for (const auto& c : cases) {
-        for (uint64_t seed : {1ull, 42ull, 977ull}) {
-            ServiceModel m = model(c.kind);
-            m.sigma = c.sigma > 0.0 ? c.sigma : m.sigma;
-            Rng rng_model(seed), rng_legacy(seed);
-            TailMeasurement via_model =
-                measureStation(kServers, kArrivalRate, m, kWarmup,
-                               kWindow, rng_model);
-            TailMeasurement via_legacy =
-                measureStation(kServers, kArrivalRate, kMeanService,
-                               c.sigma, kWarmup, kWindow, rng_legacy);
-            expectIdentical(via_model, via_legacy, seed);
-            // The RNG streams must also end in the same state (same
-            // number of draws), or downstream consumers would diverge.
-            EXPECT_EQ(rng_model.next(), rng_legacy.next());
-        }
-    }
 }
 
 TEST(ServiceModel, ParetoFastPathMatchesReference)
@@ -153,22 +119,29 @@ TEST(ServiceModel, ParetoTailIsHeavierThanLightTailedKinds)
 
 TEST(ServiceModel, ParetoValidation)
 {
-    Rng rng(1);
-    ServiceModel m = model(ServiceModel::Kind::BoundedPareto);
-    m.pareto_alpha = 1.0; // mean diverges as alpha -> 1
-    EXPECT_THROW(measureStation(kServers, kArrivalRate, m, kWarmup,
-                                kWindow, rng),
-                 Error);
-    m = model(ServiceModel::Kind::BoundedPareto);
-    m.pareto_tail_ratio = 1.0; // degenerate support
-    EXPECT_THROW(measureStation(kServers, kArrivalRate, m, kWarmup,
-                                kWindow, rng),
-                 Error);
-    m = model(ServiceModel::Kind::LogNormal);
-    m.sigma = 0.0; // LogNormal kind requires a positive sigma
-    EXPECT_THROW(measureStation(kServers, kArrivalRate, m, kWarmup,
-                                kWindow, rng),
-                 Error);
+    // An invalid model throws whatever the load: validation runs
+    // before the zero-load early return.
+    for (double rate : {kArrivalRate, 0.0}) {
+        Rng rng(1);
+        ServiceModel m = model(ServiceModel::Kind::BoundedPareto);
+        m.pareto_alpha = 1.0; // mean diverges as alpha -> 1
+        EXPECT_THROW(measureStation(kServers, rate, m, kWarmup, kWindow,
+                                    rng),
+                     Error)
+            << "rate " << rate;
+        m = model(ServiceModel::Kind::BoundedPareto);
+        m.pareto_tail_ratio = 1.0; // degenerate support
+        EXPECT_THROW(measureStation(kServers, rate, m, kWarmup, kWindow,
+                                    rng),
+                     Error)
+            << "rate " << rate;
+        m = model(ServiceModel::Kind::LogNormal);
+        m.sigma = 0.0; // LogNormal kind requires a positive sigma
+        EXPECT_THROW(measureStation(kServers, rate, m, kWarmup, kWindow,
+                                    rng),
+                     Error)
+            << "rate " << rate;
+    }
 }
 
 TEST(BoundedPareto, SampledMomentsMatchClosedForm)

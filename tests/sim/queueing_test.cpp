@@ -11,6 +11,7 @@
 
 #include "common/error.h"
 #include "common/rng.h"
+#include "reference_station.h"
 #include "sim/queueing.h"
 #include "stats/distributions.h"
 
@@ -18,10 +19,17 @@ namespace clite {
 namespace sim {
 namespace {
 
+/** Exponential service with mean @p mean_service (the M/M/c case). */
+ServiceModel
+exponential(double mean_service)
+{
+    return {ServiceModel::Kind::Exponential, mean_service};
+}
+
 TEST(QueueingStation, NoArrivalsNoCompletions)
 {
     Rng rng(3);
-    TailMeasurement m = measureStation(2, 0.0, 0.01, -1.0, 0.5, 2.0, rng);
+    TailMeasurement m = measureStation(2, 0.0, exponential(0.01), 0.5, 2.0, rng);
     EXPECT_EQ(m.completed, 0u);
     EXPECT_DOUBLE_EQ(m.throughput, 0.0);
 }
@@ -30,15 +38,16 @@ TEST(QueueingStation, ThroughputMatchesOfferedLoadWhenStable)
 {
     Rng rng(5);
     // lambda = 200/s, capacity = 4 / 0.01 = 400/s.
-    TailMeasurement m = measureStation(4, 200.0, 0.01, -1.0, 2.0, 20.0,
-                                       rng);
+    TailMeasurement m = measureStation(4, 200.0, exponential(0.01), 2.0,
+                                       20.0, rng);
     EXPECT_NEAR(m.throughput, 200.0, 12.0);
 }
 
 TEST(QueueingStation, DeterministicServiceLowLoadLatencyIsService)
 {
     Rng rng(7);
-    TailMeasurement m = measureStation(8, 10.0, 0.02, 0.0, 1.0, 10.0, rng);
+    TailMeasurement m = measureStation(
+        8, 10.0, {ServiceModel::Kind::Fixed, 0.02}, 1.0, 10.0, rng);
     // Almost no queueing at 2.5% utilization; all responses ~ 20ms.
     EXPECT_NEAR(m.p95, 0.02, 0.002);
     EXPECT_NEAR(m.p50, 0.02, 0.002);
@@ -61,7 +70,7 @@ TEST_P(DesVsAnalytic, P95WithinTolerance)
     const double lambda = c.rho * c.servers * mu;
     Rng rng(uint64_t(c.servers) * 100 + uint64_t(c.rho * 100));
     // Long window so the empirical percentile is tight.
-    TailMeasurement m = measureStation(c.servers, lambda, 1.0 / mu, -1.0,
+    TailMeasurement m = measureStation(c.servers, lambda, exponential(1.0 / mu),
                                        5.0, 60.0, rng);
     double expect = stats::mmcResponseQuantile(c.servers, lambda, mu, 0.95);
     EXPECT_NEAR(m.p95, expect, 0.15 * expect)
@@ -76,10 +85,10 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(QueueingStation, OverloadGrowsLatency)
 {
     Rng rng(11);
-    TailMeasurement stable = measureStation(2, 100.0, 0.01, -1.0, 1.0, 10.0,
-                                            rng);
-    TailMeasurement overloaded = measureStation(2, 400.0, 0.01, -1.0, 1.0,
-                                                10.0, rng);
+    TailMeasurement stable = measureStation(2, 100.0, exponential(0.01), 1.0,
+                                            10.0, rng);
+    TailMeasurement overloaded = measureStation(2, 400.0, exponential(0.01),
+                                                1.0, 10.0, rng);
     EXPECT_GT(overloaded.p95, 5.0 * stable.p95);
 }
 
@@ -110,8 +119,10 @@ TEST(QueueingStation, Validation)
     EXPECT_THROW(QueueingStation(simulator, 1, -1.0,
                                  [](Rng&) { return 0.1; }, rng),
                  Error);
-    EXPECT_THROW(measureStation(1, 1.0, 0.0, -1.0, 0.0, 1.0, rng), Error);
-    EXPECT_THROW(measureStation(1, 1.0, 0.1, -1.0, 0.0, 0.0, rng), Error);
+    EXPECT_THROW(measureStation(1, 1.0, exponential(0.0), 0.0, 1.0, rng),
+                 Error);
+    EXPECT_THROW(measureStation(1, 1.0, exponential(0.1), 0.0, 0.0, rng),
+                 Error);
 }
 
 } // namespace

@@ -1,0 +1,108 @@
+/**
+ * @file
+ * The DES test oracle: the windowed tail-latency measurement of
+ * sim::measureStation spelled out in simulation primitives — a
+ * QueueingStation on the generic event-queue Simulator.
+ *
+ * The production loop in sim/queueing.h tracks the one pending arrival
+ * and the <= c in-service departures directly; this oracle schedules
+ * every event through the generic calendar instead. Both assign event
+ * sequence numbers in the same order and draw from the RNG in the same
+ * order, so every TailMeasurement field — and the RNG end state — must
+ * match bit for bit (pinned by queueing_fast_test.cpp).
+ */
+
+#ifndef CLITE_TESTS_SIM_REFERENCE_STATION_H
+#define CLITE_TESTS_SIM_REFERENCE_STATION_H
+
+#include <cstdint>
+#include <deque>
+#include <functional>
+#include <vector>
+
+#include "common/rng.h"
+#include "event_queue.h"
+#include "sim/queueing.h"
+
+namespace clite {
+namespace sim {
+
+/**
+ * A c-server FIFO queueing station driven by Poisson arrivals.
+ */
+class QueueingStation
+{
+  public:
+    /** Sampler for one request's service time (seconds). */
+    using ServiceSampler = std::function<double(Rng&)>;
+
+    /**
+     * @param simulator Event core; must outlive the station.
+     * @param servers Number of servers c (>= 1).
+     * @param arrival_rate Poisson arrival rate λ in requests/second
+     *     (0 disables arrivals).
+     * @param sampler Service-time sampler.
+     * @param rng Randomness; must outlive the station.
+     */
+    QueueingStation(Simulator& simulator, int servers, double arrival_rate,
+                    ServiceSampler sampler, Rng& rng);
+
+    /** Begin generating arrivals (schedules the first arrival). */
+    void start();
+
+    /**
+     * Drop response times recorded so far — used to discard warm-up
+     * transients before the measured observation window.
+     */
+    void resetMeasurements();
+
+    /** Response times (seconds) completed since the last reset. */
+    const std::vector<double>& responseTimes() const { return response_; }
+
+    /** Requests completed since the last reset. */
+    size_t completedCount() const { return response_.size(); }
+
+    /** Requests currently waiting (excludes in-service). */
+    size_t queuedCount() const { return waiting_.size(); }
+
+    /** Servers currently busy. */
+    int busyServers() const { return busy_; }
+
+  private:
+    /** Handle one arrival: enter service or queue. */
+    void onArrival();
+
+    /** Start service for the request that arrived at @p arrival_time. */
+    void beginService(SimTime arrival_time);
+
+    /** A server finished the request that arrived at @p arrival_time. */
+    void onDeparture(SimTime arrival_time);
+
+    Simulator& sim_;
+    int servers_;
+    double arrival_rate_;
+    ServiceSampler sampler_;
+    Rng& rng_;
+
+    int busy_ = 0;
+    std::deque<SimTime> waiting_; // arrival times of queued requests
+    std::vector<double> response_;
+};
+
+/**
+ * sim::measureStation through QueueingStation on the generic Simulator
+ * — same parameters, same result, bit for bit. The service sampler is
+ * the textbook draw for each kind (Rng::logNormalMean, Rng::exponential,
+ * the bounded-Pareto inverse CDF); percentiles come from a full-sort
+ * stats::percentile.
+ */
+TailMeasurement measureStationReference(int servers, double arrival_rate,
+                                        const ServiceModel& service,
+                                        double warmup, double window,
+                                        Rng& rng,
+                                        uint64_t event_budget = 0);
+
+} // namespace sim
+} // namespace clite
+
+#endif // CLITE_TESTS_SIM_REFERENCE_STATION_H

@@ -107,7 +107,7 @@ TEST(ManagerStore, SimilarMixSeedsWhenLoadsDrifted)
     core::OnlineManager first(server1, fastClite(1), {}, &store);
     first.initialize();
 
-    // Same jobs at a drifted load: inside the default max_distance.
+    // Same jobs at a drifted load: inside kWarmStartMaxDistance.
     auto server2 = makeServer(mixA(0.4), 6);
     core::OnlineManager second(server2, fastClite(2), {}, &store);
     second.initialize();

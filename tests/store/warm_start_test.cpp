@@ -101,11 +101,11 @@ TEST(WarmStartBridge, ExactHitOnSameMixIsTrusted)
     Snapshot snap = learnedSnapshot(server);
 
     core::WarmStart warm =
-        warmStartFromSnapshot(snap, server, {}, /*exact=*/true);
+        warmStartFromSnapshot(snap, server, /*exact=*/true);
     ASSERT_FALSE(warm.empty());
     ASSERT_TRUE(warm.incumbent.has_value());
     EXPECT_TRUE(warm.trusted_feasible);
-    EXPECT_LE(int(warm.configs.size()), WarmStartOptions{}.max_configs);
+    EXPECT_LE(warm.configs.size(), kWarmStartMaxConfigs);
     for (const platform::Allocation& a : warm.configs) {
         EXPECT_TRUE(a.valid());
         EXPECT_NE(a.key(), warm.incumbent->key()); // deduped
@@ -126,7 +126,7 @@ TEST(WarmStartBridge, RemappingFollowsJobsAcrossServerOrder)
     };
     auto other = makeServer(shuffled, 11);
     core::WarmStart warm =
-        warmStartFromSnapshot(snap, other, {}, /*exact=*/true);
+        warmStartFromSnapshot(snap, other, /*exact=*/true);
     ASSERT_TRUE(warm.incumbent.has_value());
 
     // snapshot job j lives at server row j on the original server;
@@ -155,7 +155,7 @@ TEST(WarmStartBridge, SimilarMixSeedsConfigsButIsNeverTrusted)
     drifted[0].load_fraction = 0.35;
     auto other = makeServer(drifted, 13);
     core::WarmStart warm =
-        warmStartFromSnapshot(snap, other, {}, /*exact=*/false);
+        warmStartFromSnapshot(snap, other, /*exact=*/false);
     ASSERT_FALSE(warm.empty());
     EXPECT_FALSE(warm.trusted_feasible);
 }
@@ -167,17 +167,17 @@ TEST(WarmStartBridge, NonSteadyOrViolatingPriorsAreNeverTrusted)
 
     Snapshot searching = snap;
     searching.phase = ControllerPhase::Search;
-    EXPECT_FALSE(warmStartFromSnapshot(searching, server, {}, true)
+    EXPECT_FALSE(warmStartFromSnapshot(searching, server, true)
                      .trusted_feasible);
 
     Snapshot degraded = snap;
     degraded.phase = ControllerPhase::Degraded;
-    EXPECT_FALSE(warmStartFromSnapshot(degraded, server, {}, true)
+    EXPECT_FALSE(warmStartFromSnapshot(degraded, server, true)
                      .trusted_feasible);
 
     Snapshot violating = snap;
     violating.incumbent_qos_met = false;
-    EXPECT_FALSE(warmStartFromSnapshot(violating, server, {}, true)
+    EXPECT_FALSE(warmStartFromSnapshot(violating, server, true)
                      .trusted_feasible);
 }
 
@@ -190,25 +190,25 @@ TEST(WarmStartBridge, ShapeMismatchesFallBackToColdStart)
     std::vector<workloads::JobSpec> other_jobs = mixA();
     other_jobs[1] = workloads::lcJob("xapian", 0.2);
     auto swapped = makeServer(other_jobs, 17);
-    EXPECT_TRUE(warmStartFromSnapshot(snap, swapped, {}, true).empty());
+    EXPECT_TRUE(warmStartFromSnapshot(snap, swapped, true).empty());
 
     // Different job count.
     std::vector<workloads::JobSpec> bigger = mixA();
     bigger.push_back(workloads::bgJob("canneal"));
     auto grown = makeServer(bigger, 19);
-    EXPECT_TRUE(warmStartFromSnapshot(snap, grown, {}, true).empty());
+    EXPECT_TRUE(warmStartFromSnapshot(snap, grown, true).empty());
 
     // Different knob space.
     platform::SimulatedServer all6(
         platform::ServerConfig::xeonSilver4114AllResources(), mixA(),
         std::make_unique<workloads::AnalyticModel>(), 23, 0.0);
-    EXPECT_TRUE(warmStartFromSnapshot(snap, all6, {}, true).empty());
+    EXPECT_TRUE(warmStartFromSnapshot(snap, all6, true).empty());
 
     // Cells corrupted out of range: that allocation is dropped rather
     // than seeded.
     Snapshot bad = snap;
     bad.incumbent.assign(bad.incumbent.size(), 1000000);
-    core::WarmStart warm = warmStartFromSnapshot(bad, server, {}, true);
+    core::WarmStart warm = warmStartFromSnapshot(bad, server, true);
     EXPECT_FALSE(warm.incumbent.has_value());
     EXPECT_FALSE(warm.trusted_feasible);
 }
@@ -218,7 +218,7 @@ TEST(WarmStartBridge, WarmSeedsAreAcceptedByTheController)
     auto server = makeServer(mixA());
     Snapshot snap = learnedSnapshot(server);
     core::WarmStart warm =
-        warmStartFromSnapshot(snap, server, {}, /*exact=*/true);
+        warmStartFromSnapshot(snap, server, /*exact=*/true);
     ASSERT_FALSE(warm.empty());
 
     core::CliteController clite(fastClite());

@@ -58,8 +58,9 @@ TEST_P(LcProperty, SaturatedFlagConsistentWithCapacity)
     for (int cores = 1; cores <= 10; cores += 3) {
         std::vector<int> u = {cores, 6, 5};
         JobMeasurement m = model_.measure(job, u, cfg, rng_);
-        if (m.saturated)
+        if (m.saturated) {
             EXPECT_GT(m.p95_ms, job.profile.qos_p95_ms);
+        }
         EXPECT_TRUE(std::isfinite(m.p95_ms));
     }
 }
@@ -70,8 +71,9 @@ TEST_P(LcProperty, MeanBelowP95)
     JobSpec job{lcWorkload(GetParam()), 0.6};
     std::vector<int> u = {5, 6, 5};
     JobMeasurement m = model_.measure(job, u, cfg, rng_);
-    if (!m.saturated)
+    if (!m.saturated) {
         EXPECT_LT(m.mean_ms, m.p95_ms);
+    }
 }
 
 TEST_P(LcProperty, MissRatioWithinBoundsAndDecreasing)
