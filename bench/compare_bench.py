@@ -66,9 +66,14 @@ import sys
 DEFAULT_FAMILIES = ["acquisition", "cholesky", "predictbatch"]
 
 # Additional families `--mode components` watches: the observation-
-# window pipeline (GP hyper-fit probes and the DES measurement).
+# window pipeline (GP hyper-fit probes and the DES measurement) and the
+# controller's acquisition phase (scalar posterior, projected-gradient
+# ascent, a whole search).
 COMPONENT_FAMILIES = DEFAULT_FAMILIES + ["hyperparameterprobe",
-                                         "desmodelmeasure"]
+                                         "desmodelmeasure",
+                                         "predictscalar",
+                                         "projectedgradient",
+                                         "clitefullsearch"]
 
 # Absolute real-time ceilings (ms) the candidate must meet in
 # `--mode components`, independent of the ratio check. The committed

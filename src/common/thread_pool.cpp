@@ -136,8 +136,13 @@ ThreadPool::parallelFor(size_t n, const std::function<void(size_t)>& fn)
     state->done_cv.wait(lk, [&] {
         return state->completed.load(std::memory_order_acquire) == n;
     });
-    if (state->error)
-        std::rethrow_exception(state->error);
+    // Take the error out of the shared state, so that the caller's
+    // thread, not a helper dropping the last reference to the state,
+    // releases the exception the caller is handling.
+    std::exception_ptr error = std::move(state->error);
+    lk.unlock();
+    if (error)
+        std::rethrow_exception(error);
 }
 
 void

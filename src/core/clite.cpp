@@ -694,6 +694,9 @@ CliteController::search(platform::SimulatedServer& server,
             starts.push_back(std::move(x));
         }
 
+        // The starts run concurrently on the pool: both objectives only
+        // read the surrogate through its const, thread-safe posterior,
+        // and the starts above were drawn serially from rng.
         opt::PgResult acq =
             optimizer.maximizeMultiStart(acq_objective, acq_batch, starts);
 

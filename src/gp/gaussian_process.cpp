@@ -412,19 +412,12 @@ GaussianProcess::predictBatch(const std::vector<linalg::Vector>& xs,
         for (size_t k = 0; k < d; ++k)
             soa[k * count + c] = x[k];
     }
-    // Length-scales materialized once per block — the scalar path
-    // recomputes exp(log ℓ_d) per pair; exp is deterministic, so the
-    // hoisted values divide out identically.
-    double* ls = arena.doubles(d);
-    for (size_t k = 0; k < d; ++k)
-        ls[k] = kernel_->lengthscale(k);
-
     // Cross-covariance panel: row i holds k(cand_c, x_i) for all c.
     double* panel = arena.doubles(n * count);
     double* r_scratch = arena.doubles(count);
     for (size_t i = 0; i < n; ++i)
-        kernel_->crossCovarianceRow(soa, count, x_[i].data(), ls,
-                                    r_scratch, panel + i * count);
+        kernel_->crossCovarianceRow(soa, count, x_[i].data(), r_scratch,
+                                    panel + i * count);
 
     // Posterior mean: k*ᵀα, i ascending exactly like linalg::dot.
     double* mean_s = arena.doubles(count);

@@ -14,6 +14,16 @@ Kernel::Kernel(size_t dims, double lengthscale, double signal_variance)
     CLITE_CHECK(signal_variance > 0.0, "signal variance must be > 0");
     log_signal_variance_ = std::log(signal_variance);
     log_lengthscales_.assign(dims, std::log(lengthscale));
+    refreshMaterialized();
+}
+
+void
+Kernel::refreshMaterialized()
+{
+    signal_variance_ = std::exp(log_signal_variance_);
+    lengthscales_.resize(log_lengthscales_.size());
+    for (size_t d = 0; d < log_lengthscales_.size(); ++d)
+        lengthscales_[d] = std::exp(log_lengthscales_[d]);
 }
 
 void
@@ -24,6 +34,7 @@ Kernel::setIsotropic(bool isotropic)
         // Tie all scales to the first one.
         for (size_t d = 1; d < log_lengthscales_.size(); ++d)
             log_lengthscales_[d] = log_lengthscales_[0];
+        refreshMaterialized();
     }
 }
 
@@ -61,29 +72,15 @@ Kernel::setLogParams(const std::vector<double>& p)
         for (size_t d = 0; d < log_lengthscales_.size(); ++d)
             log_lengthscales_[d] = p[d + 1];
     }
-}
-
-double
-Kernel::signalVariance() const
-{
-    return std::exp(log_signal_variance_);
+    refreshMaterialized();
 }
 
 double
 Kernel::lengthscale(size_t d) const
 {
-    CLITE_CHECK(d < log_lengthscales_.size(), "lengthscale dim " << d
-                    << " out of " << log_lengthscales_.size());
-    return std::exp(log_lengthscales_[d]);
-}
-
-std::vector<double>
-Kernel::lengthscales() const
-{
-    std::vector<double> ls(dims());
-    for (size_t d = 0; d < dims(); ++d)
-        ls[d] = std::exp(log_lengthscales_[d]);
-    return ls;
+    CLITE_CHECK(d < lengthscales_.size(), "lengthscale dim " << d
+                    << " out of " << lengthscales_.size());
+    return lengthscales_[d];
 }
 
 void
@@ -96,20 +93,19 @@ Kernel::fromScaledDistanceBatch(const double* r, double* out,
 
 void
 Kernel::crossCovarianceRow(const double* cand_soa, size_t count,
-                           const double* xi, const double* ls,
-                           double* r_scratch, double* out) const
+                           const double* xi, double* r_scratch,
+                           double* out) const
 {
     // Scaled distance, dimensions in ascending order and divided by
-    // the same materialized exp(log ℓ_d) the scalar path divides by —
-    // per candidate this is the exact operation sequence of
-    // scaledDistance(cand, xi).
+    // the same stored ℓ_d the scalar path divides by — per candidate
+    // this is the exact operation sequence of scaledDistance(cand, xi).
     for (size_t c = 0; c < count; ++c)
         r_scratch[c] = 0.0;
     const size_t d_count = dims();
     for (size_t d = 0; d < d_count; ++d) {
         const double* col = cand_soa + d * count;
         const double xd = xi[d];
-        const double ld = ls[d];
+        const double ld = lengthscales_[d];
         for (size_t c = 0; c < count; ++c) {
             double diff = (col[c] - xd) / ld;
             r_scratch[c] += diff * diff;
@@ -128,7 +124,7 @@ Kernel::scaledDistance(const linalg::Vector& a, const linalg::Vector& b) const
                     << b.size() << " vs " << dims());
     double r2 = 0.0;
     for (size_t d = 0; d < dims(); ++d) {
-        double diff = (a[d] - b[d]) / std::exp(log_lengthscales_[d]);
+        double diff = (a[d] - b[d]) / lengthscales_[d];
         r2 += diff * diff;
     }
     return std::sqrt(r2);
@@ -158,9 +154,8 @@ void
 Matern52Kernel::fromScaledDistanceBatch(const double* r, double* out,
                                         size_t count) const
 {
-    // σ_f² hoisted (exp is deterministic: the hoisted value equals
-    // what each scalar call recomputes), loop body textually matches
-    // fromScaledDistance so every element is bit-identical.
+    // The loop body textually matches fromScaledDistance, so every
+    // element is bit-identical.
     const double sv = signalVariance();
     for (size_t i = 0; i < count; ++i) {
         double s = std::sqrt(5.0) * r[i];

@@ -52,10 +52,8 @@ class Kernel
     /**
      * Batched radial profile: out[i] = fromScaledDistance(r[i]) for
      * i < count, bit-identical to @p count scalar calls. Overridden by
-     * every concrete kernel with a branch-free loop that hoists σ_f²
-     * out of the loop (exp is deterministic, so the hoisted value is
-     * the one each scalar call recomputes) — the inner loop of the
-     * batched posterior's cross-covariance panel.
+     * every concrete kernel with a branch-free loop — the inner loop of
+     * the batched posterior's cross-covariance panel.
      */
     virtual void fromScaledDistanceBatch(const double* r, double* out,
                                          size_t count) const;
@@ -66,24 +64,22 @@ class Kernel
      * the block is stored structure-of-arrays (@p cand_soa, dim-major:
      * dimension d occupies cand_soa[d*count .. d*count+count)). The
      * scaled distance accumulates in ascending dimension order with a
-     * division by the same materialized length-scale the scalar path
+     * division by the same stored length-scale the scalar path
      * divides by, so every element is bit-identical to
      * operator()(cand_c, xi).
      *
      * @param cand_soa Candidate block, SoA layout, dims() x count.
      * @param count Candidates in the block.
      * @param xi One training point (dims() values).
-     * @param ls Materialized per-dimension length-scales
-     *     (lengthscales() of this kernel).
      * @param r_scratch Workspace of count doubles.
      * @param out Covariances, count values.
      */
     void crossCovarianceRow(const double* cand_soa, size_t count,
-                            const double* xi, const double* ls,
-                            double* r_scratch, double* out) const;
+                            const double* xi, double* r_scratch,
+                            double* out) const;
 
-    /** All per-dimension length-scales materialized (exp applied). */
-    std::vector<double> lengthscales() const;
+    /** All per-dimension length-scales, exp(log ℓ_d). */
+    const std::vector<double>& lengthscales() const { return lengthscales_; }
 
     /** Human-readable name ("matern52", ...). */
     virtual std::string name() const = 0;
@@ -117,8 +113,8 @@ class Kernel
     /** Set log-space parameters. @pre p.size() == numParams() */
     void setLogParams(const std::vector<double>& p);
 
-    /** Signal variance σ_f². */
-    double signalVariance() const;
+    /** Signal variance σ_f² = exp(log σ_f²). */
+    double signalVariance() const { return signal_variance_; }
 
     /** Length-scale of dimension @p d. */
     double lengthscale(size_t d) const;
@@ -135,8 +131,19 @@ class Kernel
     double scaledDistance(const linalg::Vector& a,
                           const linalg::Vector& b) const;
 
+  private:
+    /**
+     * Recompute σ_f² and ℓ from their logs. Every writer of the logs
+     * calls it, so the stored values always carry exactly the bits of
+     * std::exp of logParams() — the kernel evaluations divide by them
+     * instead of exponentiating per pair.
+     */
+    void refreshMaterialized();
+
     double log_signal_variance_;
     std::vector<double> log_lengthscales_;
+    double signal_variance_ = 0.0;
+    std::vector<double> lengthscales_;
     bool isotropic_ = false;
 };
 

@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "common/error.h"
+#include "common/thread_pool.h"
 #include "opt/simplex.h"
 
 namespace clite {
@@ -169,22 +170,26 @@ ProjectedGradientOptimizer::maximizeMultiStart(
     const std::vector<std::vector<double>>& starts) const
 {
     CLITE_CHECK(!starts.empty(), "maximizeMultiStart needs >= 1 start");
-    PgResult best;
-    bool first = true;
-    for (const auto& s : starts) {
-        PgResult r = maximize(f, fb, s);
-        if (first || r.value > best.value) {
-            int evals = (first ? 0 : best.evaluations) + r.evaluations;
-            int iters = (first ? 0 : best.iterations) + r.iterations;
-            best = std::move(r);
-            best.evaluations = evals;
-            best.iterations = iters;
-            first = false;
-        } else {
-            best.evaluations += r.evaluations;
-            best.iterations += r.iterations;
-        }
+    // Start i is index i of the pool and writes only slot i; the
+    // reduction walks the slots in start order with a strict `>`, so
+    // the first start wins ties and the winner is the serial loop's at
+    // any thread count.
+    std::vector<PgResult> runs(starts.size());
+    globalPool().parallelFor(starts.size(), [&](size_t i) {
+        runs[i] = maximize(f, fb, starts[i]);
+    });
+    size_t winner = 0;
+    int evaluations = 0;
+    int iterations = 0;
+    for (size_t i = 0; i < runs.size(); ++i) {
+        evaluations += runs[i].evaluations;
+        iterations += runs[i].iterations;
+        if (runs[i].value > runs[winner].value)
+            winner = i;
     }
+    PgResult best = std::move(runs[winner]);
+    best.evaluations = evaluations;
+    best.iterations = iterations;
     return best;
 }
 

@@ -104,14 +104,22 @@ class ProjectedGradientOptimizer
 
     /**
      * Multi-start wrapper: run maximize() from each start and keep the
-     * best result.
+     * best result — the first start with the highest value, with
+     * iterations and evaluations summed over every start. The starts
+     * run concurrently on globalPool() (inline at one thread), so the
+     * objectives must be safe to call concurrently; the result is
+     * bit-identical at every thread count. If starts throw, the error
+     * of the lowest-index one is rethrown once every start has ended.
      * @pre starts is non-empty.
      */
     PgResult maximizeMultiStart(
         const Objective& f,
         const std::vector<std::vector<double>>& starts) const;
 
-    /** Multi-start with batched gradient probes (see maximize overload). */
+    /**
+     * Multi-start with batched gradient probes (see maximize overload);
+     * @p fb, like @p f, must be safe to call concurrently.
+     */
     PgResult maximizeMultiStart(
         const Objective& f, const BatchObjective& fb,
         const std::vector<std::vector<double>>& starts) const;

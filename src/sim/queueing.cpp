@@ -54,7 +54,7 @@ selectPercentile(std::vector<double>& v, double q, size_t& frontier)
 
 /**
  * Window summary: percentiles through rank selection on one scratch
- * copy — bit-identical to three separate stats::percentile calls
+ * copy — bit-identical to separate stats::percentile calls
  * (selection places the exact elements a full sort would at the ranks
  * the interpolation reads; pinned against stats::percentile by
  * tests/sim/queueing_fast_test.cpp).
@@ -85,7 +85,6 @@ summarizeWindow(const std::vector<double>& rt, double window,
         out.mean = ((s0 + s1) + (s2 + s3)) / double(n);
         sort_buf.assign(rt.begin(), rt.end());
         size_t frontier = 0;
-        out.p50 = selectPercentile(sort_buf, 0.50, frontier);
         out.p95 = selectPercentile(sort_buf, 0.95, frontier);
         out.p99 = selectPercentile(sort_buf, 0.99, frontier);
     }

@@ -36,7 +36,6 @@ namespace sim {
 /** Result of a windowed tail-latency measurement. */
 struct TailMeasurement
 {
-    double p50 = 0.0;      ///< Median response time (seconds).
     double p95 = 0.0;      ///< 95th-percentile response time (seconds).
     double p99 = 0.0;      ///< 99th-percentile response time (seconds).
     double mean = 0.0;     ///< Mean response time (seconds).

@@ -9,6 +9,7 @@
 #include <set>
 
 #include "common/error.h"
+#include "common/thread_pool.h"
 #include "core/clite.h"
 #include "workloads/catalog.h"
 #include "workloads/perf_model.h"
@@ -196,6 +197,59 @@ TEST(Clite, OptionValidation)
     bad = CliteOptions{};
     bad.dropout_random_prob = 1.5;
     EXPECT_THROW(CliteController c(bad), Error);
+}
+
+/**
+ * One library-default search (eight acquisition starts, dropout on) on
+ * a DES-backed four-job server at @p threads pool threads; with
+ * @p event_budget > 0 the search probes measure coarse. No memcached,
+ * so the DES stays cheap under sanitizers.
+ */
+ControllerResult
+runDesSearch(int threads, uint64_t event_budget)
+{
+    setGlobalThreadCount(threads);
+    platform::SimulatedServer server(
+        platform::ServerConfig::xeonSilver4114(),
+        {workloads::lcJob("img-dnn", 0.3), workloads::lcJob("xapian", 0.3),
+         workloads::lcJob("specjbb", 0.3), workloads::bgJob("streamcluster")},
+        std::make_unique<workloads::QueueingSimModel>(0.2, 1.0), 5, 0.02);
+    CliteOptions o;
+    o.search_event_budget = event_budget;
+    return CliteController(o).run(server);
+}
+
+TEST(Clite, DesSearchBitIdenticalAcrossThreadCounts)
+{
+    const int saved = globalPool().threadCount();
+    for (uint64_t event_budget : {uint64_t(0), uint64_t(2000)}) {
+        const ControllerResult serial = runDesSearch(1, event_budget);
+        for (int threads : {2, 4, 8}) {
+            const ControllerResult par = runDesSearch(threads, event_budget);
+            ASSERT_EQ(par.trace.size(), serial.trace.size())
+                << "threads=" << threads << " budget=" << event_budget;
+            for (size_t i = 0; i < serial.trace.size(); ++i) {
+                const SampleRecord& a = serial.trace[i];
+                const SampleRecord& b = par.trace[i];
+                EXPECT_TRUE(a.alloc == b.alloc)
+                    << "threads=" << threads << " sample=" << i;
+                EXPECT_EQ(a.score, b.score)
+                    << "threads=" << threads << " sample=" << i;
+                EXPECT_EQ(a.status, b.status)
+                    << "threads=" << threads << " sample=" << i;
+                EXPECT_EQ(a.all_qos_met, b.all_qos_met)
+                    << "threads=" << threads << " sample=" << i;
+            }
+            EXPECT_EQ(par.best_score, serial.best_score)
+                << "threads=" << threads << " budget=" << event_budget;
+            ASSERT_EQ(par.best.has_value(), serial.best.has_value());
+            if (serial.best.has_value()) {
+                EXPECT_TRUE(*par.best == *serial.best)
+                    << "threads=" << threads << " budget=" << event_budget;
+            }
+        }
+    }
+    setGlobalThreadCount(saved);
 }
 
 TEST(ControllerResult, FirstFeasibleSampleIndex)

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "common/error.h"
 #include "common/rng.h"
@@ -24,6 +25,47 @@ randomPoints(size_t n, size_t dims, Rng& rng)
         for (auto& v : p)
             v = rng.uniform(0.0, 1.0);
     return pts;
+}
+
+/** Bitwise equality for doubles. */
+bool
+sameBits(double a, double b)
+{
+    return std::memcmp(&a, &b, sizeof a) == 0;
+}
+
+/**
+ * The stored σ_f² and ℓ carry exactly the bits of std::exp of
+ * logParams(), and a covariance equals the radial profile of the
+ * distance divided by per-dimension std::exp, bit for bit.
+ */
+void
+expectMaterializedParams(const Kernel& k, const std::string& state)
+{
+    const std::vector<double> p = k.logParams();
+    EXPECT_TRUE(sameBits(k.signalVariance(), std::exp(p[0]))) << state;
+    std::vector<double> ls(k.dims());
+    for (size_t d = 0; d < k.dims(); ++d) {
+        ls[d] = std::exp(p[k.isotropic() ? 1 : d + 1]);
+        EXPECT_TRUE(sameBits(k.lengthscale(d), ls[d])) << state << " d=" << d;
+        EXPECT_TRUE(sameBits(k.lengthscales()[d], ls[d]))
+            << state << " d=" << d;
+    }
+    Rng rng(17);
+    for (int t = 0; t < 5; ++t) {
+        linalg::Vector a(k.dims()), b(k.dims());
+        for (size_t d = 0; d < k.dims(); ++d) {
+            a[d] = rng.uniform(0.0, 1.0);
+            b[d] = rng.uniform(0.0, 1.0);
+        }
+        double r2 = 0.0;
+        for (size_t d = 0; d < k.dims(); ++d) {
+            double diff = (a[d] - b[d]) / ls[d];
+            r2 += diff * diff;
+        }
+        EXPECT_TRUE(sameBits(k(a, b), k.fromScaledDistance(std::sqrt(r2))))
+            << state << " pair " << t;
+    }
 }
 
 class KernelKindTest : public ::testing::TestWithParam<std::string>
@@ -111,6 +153,21 @@ TEST_P(KernelKindTest, CloneIsIndependentDeepCopy)
     k->setLogParams(p);
     EXPECT_NE(k->signalVariance(), c->signalVariance());
     EXPECT_EQ(c->name(), k->name());
+}
+
+TEST_P(KernelKindTest, StoredParamsAreExpOfLogParams)
+{
+    auto k = make();
+    expectMaterializedParams(*k, "constructed");
+
+    k->setLogParams({std::log(1.7), std::log(0.3), std::log(0.9),
+                     std::log(2.2)});
+    expectMaterializedParams(*k, "ard");
+    k->setIsotropic(true);
+    expectMaterializedParams(*k, "isotropic");
+
+    auto c = k->clone();
+    expectMaterializedParams(*c, "clone");
 }
 
 TEST_P(KernelKindTest, DimensionMismatchThrows)

@@ -7,8 +7,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <stdexcept>
+#include <string>
 
 #include "common/error.h"
+#include "common/thread_pool.h"
 #include "opt/projected_gradient.h"
 
 namespace clite {
@@ -100,6 +104,106 @@ TEST(ProjectedGradient, MultiStartKeepsBest)
         f, {{1.0, 3.0}, {3.0, 1.0}, {2.0, 2.0}});
     EXPECT_NEAR(r.x[0], 3.0, 0.05);
     EXPECT_GT(r.value, 1.9);
+}
+
+/** Bitwise equality for doubles. */
+bool
+sameBits(double a, double b)
+{
+    return std::memcmp(&a, &b, sizeof a) == 0;
+}
+
+TEST(ProjectedGradient, MultiStartBitIdenticalAcrossThreadCounts)
+{
+    // Four bumps of different heights on the simplex x0+x1+x2 = 3,
+    // so the ten starts climb to different local maxima.
+    ProjectedGradientOptimizer opt({block({0, 1, 2}, 3.0, 0.1, 2.8)}, 3);
+    auto f = [](const std::vector<double>& x) {
+        const double peaks[4][3] = {{2.0, 0.5, 0.5},
+                                    {0.5, 2.0, 0.5},
+                                    {0.5, 0.5, 2.0},
+                                    {1.0, 1.0, 1.0}};
+        double v = 0.0;
+        for (int p = 0; p < 4; ++p) {
+            double d2 = 0.0;
+            for (int k = 0; k < 3; ++k)
+                d2 += (x[k] - peaks[p][k]) * (x[k] - peaks[p][k]);
+            v += (1.0 + 0.3 * p) * std::exp(-4.0 * d2);
+        }
+        return v;
+    };
+    std::vector<std::vector<double>> starts;
+    for (int s = 0; s < 10; ++s)
+        starts.push_back({0.2 + 0.25 * s, 2.5 - 0.2 * s, 0.3 + 0.05 * s});
+
+    const int saved = globalPool().threadCount();
+    setGlobalThreadCount(1);
+    const PgResult serial = opt.maximizeMultiStart(f, starts);
+    for (int threads : {2, 8}) {
+        setGlobalThreadCount(threads);
+        const PgResult par = opt.maximizeMultiStart(f, starts);
+        ASSERT_EQ(par.x.size(), serial.x.size());
+        for (size_t i = 0; i < serial.x.size(); ++i)
+            EXPECT_TRUE(sameBits(par.x[i], serial.x[i]))
+                << "threads=" << threads << " x[" << i << "]";
+        EXPECT_TRUE(sameBits(par.value, serial.value))
+            << "threads=" << threads;
+        EXPECT_EQ(par.iterations, serial.iterations) << "threads=" << threads;
+        EXPECT_EQ(par.evaluations, serial.evaluations)
+            << "threads=" << threads;
+    }
+    setGlobalThreadCount(saved);
+}
+
+TEST(ProjectedGradient, MultiStartTieKeepsFirstStart)
+{
+    // Coordinate 2 is in no block and the objective ignores it, so the
+    // two starts tie exactly; it only tags which run won.
+    ProjectedGradientOptimizer opt({block({0, 1}, 4.0, 0.5, 3.5)}, 3);
+    auto f = [](const std::vector<double>& x) {
+        return -(x[0] - 3.0) * (x[0] - 3.0);
+    };
+    const PgResult single = opt.maximize(f, {2.0, 2.0, 0.0});
+    const int saved = globalPool().threadCount();
+    for (int threads : {1, 2, 8}) {
+        setGlobalThreadCount(threads);
+        const PgResult r =
+            opt.maximizeMultiStart(f, {{2.0, 2.0, 0.0}, {2.0, 2.0, 1.0}});
+        EXPECT_EQ(r.x[2], 0.0) << "threads=" << threads;
+        EXPECT_TRUE(sameBits(r.value, single.value)) << "threads=" << threads;
+        EXPECT_EQ(r.evaluations, 2 * single.evaluations)
+            << "threads=" << threads;
+        EXPECT_EQ(r.iterations, 2 * single.iterations)
+            << "threads=" << threads;
+    }
+    setGlobalThreadCount(saved);
+}
+
+TEST(ProjectedGradient, MultiStartRethrowsLowestFailingStart)
+{
+    // Coordinate 2 (in no block) carries the start index; starts 3 and
+    // 5 fail on their first evaluation.
+    ProjectedGradientOptimizer opt({block({0, 1}, 4.0, 0.5, 3.5)}, 3);
+    auto f = [](const std::vector<double>& x) {
+        if (x[2] == 3.0 || x[2] == 5.0)
+            throw std::runtime_error("start " + std::to_string(int(x[2])));
+        return -(x[0] - 3.0) * (x[0] - 3.0);
+    };
+    std::vector<std::vector<double>> starts;
+    for (int s = 0; s < 8; ++s)
+        starts.push_back({2.0, 2.0, double(s)});
+    const int saved = globalPool().threadCount();
+    for (int threads : {1, 2, 8}) {
+        setGlobalThreadCount(threads);
+        try {
+            opt.maximizeMultiStart(f, starts);
+            ADD_FAILURE() << "no error at threads=" << threads;
+        } catch (const std::runtime_error& e) {
+            EXPECT_EQ(std::string(e.what()), "start 3")
+                << "threads=" << threads;
+        }
+    }
+    setGlobalThreadCount(saved);
 }
 
 TEST(ProjectedGradient, ValidationErrors)

@@ -35,8 +35,6 @@ void
 expectIdentical(const TailMeasurement& fast, const TailMeasurement& ref,
                 uint64_t seed, int kind)
 {
-    EXPECT_TRUE(sameBits(fast.p50, ref.p50))
-        << "p50 seed " << seed << " kind " << kind;
     EXPECT_TRUE(sameBits(fast.p95, ref.p95))
         << "p95 seed " << seed << " kind " << kind;
     EXPECT_TRUE(sameBits(fast.p99, ref.p99))
@@ -137,7 +135,6 @@ TEST(QueueingFastPath, SelectedPercentilesMatchFullSort)
         std::vector<double> responses = st.responseTimes();
         ASSERT_EQ(responses.size(), fast.completed);
 
-        EXPECT_TRUE(sameBits(fast.p50, stats::percentile(responses, 0.50)));
         EXPECT_TRUE(sameBits(fast.p95, stats::percentile(responses, 0.95)));
         EXPECT_TRUE(sameBits(fast.p99, stats::percentile(responses, 0.99)));
     }

@@ -140,7 +140,6 @@ measureStationReference(int servers, double arrival_rate,
         for (size_t i = full; i < rt.size(); ++i)
             s[0] += rt[i];
         out.mean = ((s[0] + s[1]) + (s[2] + s[3])) / double(rt.size());
-        out.p50 = stats::percentile(rt, 0.50);
         out.p95 = stats::percentile(rt, 0.95);
         out.p99 = stats::percentile(rt, 0.99);
     }
