@@ -31,6 +31,42 @@ Rng::split(uint64_t tag)
     return Rng(seed);
 }
 
+RngLookahead::RngLookahead(Rng& parent)
+    : parent_(parent),
+      ahead_(parent),
+      block_start_(parent.state_),
+      cached_normal_(parent.cached_normal_),
+      has_cached_normal_(parent.has_cached_normal_)
+{
+}
+
+void
+RngLookahead::refill()
+{
+    block_start_ = ahead_.state_;
+    // The raw draws first, then the logs: the kBlock log calls are
+    // independent of each other, so they pipeline.
+    for (double& u : u_)
+        u = ahead_.uniform();
+    for (size_t i = 0; i < kBlock; ++i)
+        e_[i] = detail::unitExponential(u_[i]);
+    pos_ = 0;
+}
+
+void
+RngLookahead::commit()
+{
+    if (pos_ == kBlock) {
+        parent_.state_ = ahead_.state_;
+    } else {
+        parent_.state_ = block_start_;
+        for (size_t i = 0; i < pos_; ++i)
+            parent_.next();
+    }
+    parent_.cached_normal_ = cached_normal_;
+    parent_.has_cached_normal_ = has_cached_normal_;
+}
+
 double
 Rng::uniform(double lo, double hi)
 {

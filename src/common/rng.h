@@ -120,6 +120,8 @@ class Rng
     }
 
   private:
+    friend class RngLookahead;
+
     /** Left-rotate for xoshiro. */
     static uint64_t
     rotl(uint64_t x, int k)
@@ -132,11 +134,106 @@ class Rng
     bool has_cached_normal_ = false;
 };
 
+/**
+ * Block lookahead over an Rng stream for a hot loop whose draws sit on
+ * a serial dependency chain (the DES event loop). It draws the next
+ * kBlock uniforms of a copy of the stream, with their unit exponentials
+ * -log(1 - u), in one tight loop, so the log calls overlap each other
+ * instead of stalling the loop one at a time. Every value it returns
+ * has exactly the bits the parent's own calls would return in the same
+ * order (pinned by tests/common/rng_test.cpp):
+ *
+ * - unitExponential() / rate is Rng::exponential(rate);
+ * - normal() is Rng::normal(), Box-Muller cache included;
+ * - uniform() is Rng::uniform().
+ *
+ * commit() moves the parent to exactly the position the draws so far
+ * consumed, with the lookahead's Box-Muller cache; draws computed past
+ * that position are discarded. commit() may be called again after more
+ * draws; the parent must not be drawn from until the last one.
+ */
+class RngLookahead
+{
+  public:
+    /** Draws computed per block. */
+    static constexpr size_t kBlock = 128;
+
+    /** Look ahead of @p parent, starting at its current position. */
+    explicit RngLookahead(Rng& parent);
+
+    /** Rng::uniform() of the parent stream. */
+    double uniform() { return u_[take()]; }
+
+    /** -log(1 - uniform()), which Rng::exponential(rate) divides by rate. */
+    double unitExponential() { return e_[take()]; }
+
+    /** Rng::normal() of the parent stream. */
+    double normal();
+
+    /** Leave the parent where the draws so far leave it. */
+    void commit();
+
+  private:
+    /** Index of the next draw in the block, refilling when spent. */
+    size_t
+    take()
+    {
+        if (pos_ == kBlock) [[unlikely]]
+            refill();
+        return pos_++;
+    }
+
+    /** Compute the next block from ahead_. */
+    void refill();
+
+    Rng& parent_;
+    Rng ahead_;                          ///< stream just past the block
+    std::array<uint64_t, 4> block_start_; ///< stream at the block's start
+    size_t pos_ = kBlock;                ///< draws consumed in the block
+    double cached_normal_;
+    bool has_cached_normal_;
+    std::array<double, kBlock> u_{};
+    std::array<double, kBlock> e_{};
+};
+
+namespace detail {
+
+/** Unit exponential by inversion: -log(1 - u) for u in [0, 1). */
+inline double
+unitExponential(double u)
+{
+    return -std::log(1.0 - u);
+}
+
+/**
+ * Box-Muller pair from e = unitExponential(u1) and a second uniform
+ * u2: returns the first normal and stores the second in @p second.
+ * sqrt(2 e) is sqrt(-2 log(1 - u1)) bit for bit, because doubling and
+ * negating are exact.
+ */
+inline double
+boxMuller(double e, double u2, double& second)
+{
+    double r = std::sqrt(2.0 * e);
+    double theta = 2.0 * M_PI * u2;
+    // One sincos() call instead of separate sin/cos: glibc evaluates
+    // both through the same argument reduction and polynomial kernels,
+    // so the pair is bit-identical to std::sin(theta)/std::cos(theta)
+    // (pinned over the Box-Muller domain by tests/common/rng_test.cpp)
+    // while sharing the reduction work between the two draws.
+    double s, c;
+    ::sincos(theta, &s, &c);
+    second = r * s;
+    return r * c;
+}
+
+} // namespace detail
+
 // The sampling hot path — raw draws and the distributions the
 // discrete-event simulator draws per request — is defined inline so
 // callers in other translation units pay no call or spill overhead.
-// The expressions are exactly the former out-of-line bodies, so every
-// stream is bit-identical to what it was.
+// Each distribution has one formula (detail:: above), shared with
+// RngLookahead.
 
 inline uint64_t
 Rng::next()
@@ -168,21 +265,11 @@ Rng::normal()
         has_cached_normal_ = false;
         return cached_normal_;
     }
-    // Box-Muller; u1 in (0,1] so the log is finite.
-    double u1 = 1.0 - uniform();
-    double u2 = uniform();
-    double r = std::sqrt(-2.0 * std::log(u1));
-    double theta = 2.0 * M_PI * u2;
-    // One sincos() call instead of separate sin/cos: glibc evaluates
-    // both through the same argument reduction and polynomial kernels,
-    // so the pair is bit-identical to std::sin(theta)/std::cos(theta)
-    // (pinned over the Box-Muller domain by tests/common/rng_test.cpp)
-    // while sharing the reduction work between the two draws.
-    double s, c;
-    ::sincos(theta, &s, &c);
-    cached_normal_ = r * s;
+    // Box-Muller; 1 - u1 is in (0,1] so the log is finite.
+    const double e = detail::unitExponential(uniform());
+    const double u2 = uniform();
     has_cached_normal_ = true;
-    return r * c;
+    return detail::boxMuller(e, u2, cached_normal_);
 }
 
 inline double
@@ -205,7 +292,20 @@ Rng::exponential(double rate)
 {
     CLITE_CHECK(rate > 0.0, "exponential rate must be positive, got "
                                 << rate);
-    return -std::log(1.0 - uniform()) / rate;
+    return detail::unitExponential(uniform()) / rate;
+}
+
+inline double
+RngLookahead::normal()
+{
+    if (has_cached_normal_) {
+        has_cached_normal_ = false;
+        return cached_normal_;
+    }
+    const double e = unitExponential();
+    const double u2 = uniform();
+    has_cached_normal_ = true;
+    return detail::boxMuller(e, u2, cached_normal_);
 }
 
 } // namespace clite

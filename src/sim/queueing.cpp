@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <span>
 #include <vector>
 
 #include "common/error.h"
@@ -13,6 +14,13 @@ namespace sim {
 
 namespace {
 
+/** Windows with at least this many responses select their percentiles
+    from the top tail only (see summarizeWindow). */
+constexpr size_t kTailSelectMin = 4096;
+
+/** Stride of the pivot sample the tail selection draws its cut from. */
+constexpr size_t kPivotStride = 32;
+
 /**
  * The order statistic sorted(v)[k], by selection instead of a full
  * sort. @p frontier is the number of leading positions already fixed
@@ -22,7 +30,7 @@ namespace {
  * requested before, so v[k] already holds the exact order statistic).
  */
 double
-orderStat(std::vector<double>& v, size_t k, size_t& frontier)
+orderStat(std::span<double> v, size_t k, size_t& frontier)
 {
     if (k >= frontier) {
         std::nth_element(v.begin() + ptrdiff_t(frontier),
@@ -33,62 +41,50 @@ orderStat(std::vector<double>& v, size_t k, size_t& frontier)
 }
 
 /**
- * stats::percentileSorted(sorted(v), q) without sorting v: the order
- * statistics it reads are selected exactly (nth_element places the
- * same element a sort would) and the interpolation arithmetic below is
- * the same expression, so the value is bit-identical. Quantiles must
- * be requested in ascending order (see orderStat).
+ * stats::percentileSorted(sorted(rt), q) for a window of @p n
+ * responses, without sorting them: @p tail holds the top tail.size()
+ * of them (all n, or the ones at ranks >= n - tail.size()), the order
+ * statistics the interpolation reads are selected exactly from it
+ * (nth_element places the same element a sort would), and the
+ * arithmetic is the same expression, so the value is bit-identical.
+ * Quantiles must be requested in ascending order (see orderStat).
  */
 double
-selectPercentile(std::vector<double>& v, double q, size_t& frontier)
+selectPercentile(std::span<double> tail, size_t n, double q, size_t& frontier)
 {
-    const size_t n = v.size();
+    const size_t offset = n - tail.size();
     double pos = q * double(n - 1);
     size_t lo = size_t(pos);
     size_t hi = std::min(lo + 1, n - 1);
     double frac = pos - double(lo);
-    double vlo = orderStat(v, lo, frontier);
-    double vhi = orderStat(v, hi, frontier);
+    double vlo = orderStat(tail, lo - offset, frontier);
+    double vhi = orderStat(tail, hi - offset, frontier);
     return vlo * (1.0 - frac) + vhi * frac;
 }
 
 /**
- * Window summary: percentiles through rank selection on one scratch
- * copy — bit-identical to separate stats::percentile calls
- * (selection places the exact elements a full sort would at the ranks
- * the interpolation reads; pinned against stats::percentile by
- * tests/sim/queueing_fast_test.cpp).
+ * Copy into @p buf (room for rt.size() values) the responses at or
+ * above a cut near the 90th percentile, taken from a strided sample
+ * (every kPivotStride-th response); returns how many were kept. The
+ * kept ones are exactly the top m of the window as a multiset, because
+ * every response below the cut sorts before every response at or
+ * above it.
  */
-TailMeasurement
-summarizeWindow(const std::vector<double>& rt, double window,
-                std::vector<double>& sort_buf)
+size_t
+keepTopTail(const std::vector<double>& rt, double* buf)
 {
-    TailMeasurement out;
-    out.completed = rt.size();
-    out.throughput = double(rt.size()) / window;
-    if (!rt.empty()) {
-        // Four-way unrolled summation for the mean: the field is
-        // diagnostic (nothing downstream consumes it bit-for-bit), and
-        // independent accumulators break the serial dependency chain a
-        // streaming update would force through every sample.
-        const size_t n = rt.size();
-        double s0 = 0.0, s1 = 0.0, s2 = 0.0, s3 = 0.0;
-        size_t i = 0;
-        for (; i + 4 <= n; i += 4) {
-            s0 += rt[i];
-            s1 += rt[i + 1];
-            s2 += rt[i + 2];
-            s3 += rt[i + 3];
-        }
-        for (; i < n; ++i)
-            s0 += rt[i];
-        out.mean = ((s0 + s1) + (s2 + s3)) / double(n);
-        sort_buf.assign(rt.begin(), rt.end());
-        size_t frontier = 0;
-        out.p95 = selectPercentile(sort_buf, 0.95, frontier);
-        out.p99 = selectPercentile(sort_buf, 0.99, frontier);
+    size_t samples = 0;
+    for (size_t i = 0; i < rt.size(); i += kPivotStride)
+        buf[samples++] = rt[i];
+    double* cut = buf + samples * 9 / 10;
+    std::nth_element(buf, cut, buf + samples);
+    const double pivot = *cut;
+    size_t kept = 0;
+    for (double x : rt) {
+        buf[kept] = x;
+        kept += size_t(x >= pivot);
     }
-    return out;
+    return kept;
 }
 
 /** An in-service request: departure event plus its arrival stamp. */
@@ -174,35 +170,40 @@ popService(StationScratch& s, double& head_time, uint64_t& head_seq)
 /**
  * Service samplers the event loop is specialized on (one instantiation
  * per distribution hoists the per-draw dispatch and the constant parts
- * of each draw out of the loop).
+ * of each draw out of the loop). Each draws from the loop's
+ * RngLookahead, which returns the bits the caller's Rng would.
  *
  * LogNormalService inlines Rng::logNormalMean with mu precomputed:
  * logNormalMean(mean, sigma) computes mu = log(mean) - sigma^2/2 from
  * the same operands on every call and returns exp(normal(mu, sigma))
  * = exp(mu + sigma * normal()), so the hoisted form draws the same
  * stream and returns the same bits. ExponentialService hoists the
- * identical-every-call 1/mean rate the same way.
+ * identical-every-call 1/mean rate the same way, and divides the unit
+ * exponential by it as Rng::exponential does.
  */
 struct LogNormalService
 {
     double mu;
     double sigma;
-    double operator()(Rng& rng) const
+    double operator()(RngLookahead& draws) const
     {
-        return std::exp(mu + sigma * rng.normal());
+        return std::exp(mu + sigma * draws.normal());
     }
 };
 
 struct ExponentialService
 {
     double rate;
-    double operator()(Rng& rng) const { return rng.exponential(rate); }
+    double operator()(RngLookahead& draws) const
+    {
+        return draws.unitExponential() / rate;
+    }
 };
 
 struct FixedService
 {
     double service;
-    double operator()(Rng&) const { return service; }
+    double operator()(RngLookahead&) const { return service; }
 };
 
 /**
@@ -216,10 +217,10 @@ struct BoundedParetoService
     double lower;
     double ratio_term;
     double neg_inv_alpha;
-    double operator()(Rng& rng) const
+    double operator()(RngLookahead& draws) const
     {
         return lower *
-               std::pow(1.0 - rng.uniform() * ratio_term, neg_inv_alpha);
+               std::pow(1.0 - draws.uniform() * ratio_term, neg_inv_alpha);
     }
 };
 
@@ -244,7 +245,10 @@ makeParetoSampler(const ServiceModel& service)
  * order a generic simulator's station calls schedule(), and the next
  * event is chosen by the same (time, seq) order, so the RNG draw order
  * — and therefore every response time — is bit-identical to that
- * simulator's (the tests/sim/ oracle).
+ * simulator's (the tests/sim/ oracle). Every draw comes from one
+ * RngLookahead, which moves @p rng to exactly the consumed position
+ * before the window is summarized. The caller has validated both
+ * rates, so no draw re-checks one.
  */
 template <typename Sampler>
 TailMeasurement
@@ -252,9 +256,10 @@ runStationLoop(int servers, double arrival_rate, double warmup, double span,
                Sampler sample, Rng& rng)
 {
     StationScratch& scratch = t_scratch;
+    RngLookahead draws(rng);
     const double end = warmup + span;
     uint64_t next_seq = 0;
-    double next_arrival = rng.exponential(arrival_rate);
+    double next_arrival = draws.unitExponential() / arrival_rate;
     uint64_t arrival_seq = next_seq++;
     double head_time = kNoDeparture;
     uint64_t head_seq = 0;
@@ -270,11 +275,11 @@ runStationLoop(int servers, double arrival_rate, double warmup, double span,
             if (now > end)
                 break;
             // Renewal: draw the next arrival before anything else.
-            next_arrival = now + rng.exponential(arrival_rate);
+            next_arrival = now + draws.unitExponential() / arrival_rate;
             arrival_seq = next_seq++;
             if (busy < servers) {
                 ++busy;
-                double service = sample(rng);
+                double service = sample(draws);
                 CLITE_ASSERT(service >= 0.0,
                              "negative service time sampled");
                 pushService(scratch,
@@ -307,7 +312,7 @@ runStationLoop(int servers, double arrival_rate, double warmup, double span,
                     scratch.waiting_head = 0;
                 }
                 ++busy;
-                double service = sample(rng);
+                double service = sample(draws);
                 CLITE_ASSERT(service >= 0.0,
                              "negative service time sampled");
                 pushService(scratch,
@@ -316,10 +321,66 @@ runStationLoop(int servers, double arrival_rate, double warmup, double span,
             }
         }
     }
-    return summarizeWindow(scratch.response, span, scratch.sort_buf);
+    draws.commit();
+    return summarizeWindow(scratch.response, span);
 }
 
 } // namespace
+
+/**
+ * Percentiles through rank selection on one scratch buffer,
+ * bit-identical to separate stats::percentile calls. Both percentiles
+ * read ranks >= floor(0.95 (n - 1)), so a large window selects them
+ * from its top tail only (keepTopTail), at ranks shifted down by the
+ * n - m responses left out; if the cut lands above that rank, the
+ * window falls back to selecting over every response.
+ */
+TailMeasurement
+summarizeWindow(const std::vector<double>& rt, double window)
+{
+    TailMeasurement out;
+    out.completed = rt.size();
+    out.throughput = double(rt.size()) / window;
+    if (rt.empty())
+        return out;
+    // Four-way unrolled summation for the mean, in departure order: the
+    // field is diagnostic (nothing downstream consumes it
+    // bit-for-bit), and independent accumulators break the serial
+    // dependency chain a streaming update would force through every
+    // sample.
+    const size_t n = rt.size();
+    double s0 = 0.0, s1 = 0.0, s2 = 0.0, s3 = 0.0;
+    size_t i = 0;
+    for (; i + 4 <= n; i += 4) {
+        s0 += rt[i];
+        s1 += rt[i + 1];
+        s2 += rt[i + 2];
+        s3 += rt[i + 3];
+    }
+    for (; i < n; ++i)
+        s0 += rt[i];
+    out.mean = ((s0 + s1) + (s2 + s3)) / double(n);
+
+    // Sized up, never down: a steady-state window neither allocates nor
+    // zero-fills.
+    std::vector<double>& sort_buf = t_scratch.sort_buf;
+    if (sort_buf.size() < n)
+        sort_buf.resize(n);
+    std::span<double> tail;
+    if (n >= kTailSelectMin) {
+        const size_t kept = keepTopTail(rt, sort_buf.data());
+        if (n - kept <= size_t(0.95 * double(n - 1)))
+            tail = std::span<double>(sort_buf.data(), kept);
+    }
+    if (tail.empty()) {
+        std::copy(rt.begin(), rt.end(), sort_buf.begin());
+        tail = std::span<double>(sort_buf.data(), n);
+    }
+    size_t frontier = 0;
+    out.p95 = selectPercentile(tail, n, 0.95, frontier);
+    out.p99 = selectPercentile(tail, n, 0.99, frontier);
+    return out;
+}
 
 double
 effectiveWindow(double window, double arrival_rate, uint64_t event_budget)
@@ -361,13 +422,22 @@ measureStation(int servers, double arrival_rate, const ServiceModel& service,
     scratch.response.clear();
 
     if (arrival_rate <= 0.0)
-        return summarizeWindow(scratch.response, span, scratch.sort_buf);
+        return summarizeWindow(scratch.response, span);
 
+    // The rate checks of Rng::exponential, once per window instead of
+    // once per draw.
+    CLITE_CHECK(arrival_rate > 0.0,
+                "arrival rate must be positive, got " << arrival_rate);
     const double mean = service.mean_service;
     switch (service.kind) {
-    case ServiceModel::Kind::Exponential:
+    case ServiceModel::Kind::Exponential: {
+        const double rate = 1.0 / mean;
+        CLITE_CHECK(rate > 0.0,
+                    "exponential service rate must be positive, got "
+                        << rate);
         return runStationLoop(servers, arrival_rate, warmup, span,
-                              ExponentialService{1.0 / mean}, rng);
+                              ExponentialService{rate}, rng);
+    }
     case ServiceModel::Kind::LogNormal: {
         // Hoisted logNormalMean(mean, sigma): see LogNormalService.
         const double sigma = service.sigma;

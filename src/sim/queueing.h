@@ -13,13 +13,15 @@
  *
  * measureStation() is a specialized M/G/c loop: it tracks the one
  * pending arrival and the <= c in-service departures directly (no
- * generic event queue, no std::function samplers) and reuses
- * thread-local buffers across calls, so a QueueingSimModel window
- * allocates nothing in steady state. Its event order and RNG draw
- * order are those of a generic calendar simulator running a textbook
- * queueing station; tests/sim/ keeps that simulator as the oracle and
- * pins every result field and the RNG end state against it, bit for
- * bit, for every service kind (tests/sim/queueing_fast_test.cpp).
+ * generic event queue, no std::function samplers), draws through an
+ * RngLookahead so the random draws leave the event loop's dependency
+ * chain, and reuses thread-local buffers across calls, so a
+ * QueueingSimModel window allocates nothing in steady state. Its event
+ * order and RNG draw order are those of a generic calendar simulator
+ * running a textbook queueing station; tests/sim/ keeps that simulator
+ * as the oracle and pins every result field and the RNG end state,
+ * Box-Muller cache included, against it, bit for bit, for every
+ * service kind (tests/sim/queueing_fast_test.cpp).
  */
 
 #ifndef CLITE_SIM_QUEUEING_H
@@ -27,6 +29,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <vector>
 
 #include "common/rng.h"
 
@@ -105,6 +108,16 @@ TailMeasurement measureStation(int servers, double arrival_rate,
                                const ServiceModel& service, double warmup,
                                double window, Rng& rng,
                                uint64_t event_budget = 0);
+
+/**
+ * Summarize one window's response times (seconds, in departure order)
+ * over a measured span of @p window seconds, as measureStation() does.
+ * p95 and p99 are bit-identical to stats::percentile of @p response,
+ * and the mean is summed in departure order. Runs out of the calling
+ * thread's measurement scratch.
+ */
+TailMeasurement summarizeWindow(const std::vector<double>& response,
+                                double window);
 
 /**
  * Pre-size the CALLING thread's measurement scratch — the pooled

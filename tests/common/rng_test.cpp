@@ -7,7 +7,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <set>
+#include <vector>
 
 #include "common/error.h"
 #include "common/rng.h"
@@ -180,6 +182,119 @@ TEST(Rng, ShuffleIsPermutation)
     rng.shuffle(v);
     std::sort(v.begin(), v.end());
     EXPECT_EQ(v, orig);
+}
+
+/** Bitwise equality for doubles (distinguishes -0.0, NaN-safe). */
+bool
+sameBits(double a, double b)
+{
+    return std::memcmp(&a, &b, sizeof a) == 0;
+}
+
+/**
+ * Box-Muller computes its pair with one sincos() call; over its whole
+ * domain, theta = 2 pi u for u in [0, 1), that must equal separate
+ * sin() and cos() calls bit for bit.
+ */
+TEST(Rng, SincosMatchesSinAndCosOverBoxMullerDomain)
+{
+    Rng rng(71);
+    std::vector<double> us = {0.0, 0.25, 0.5, 0.75,
+                              std::nextafter(1.0, 0.0)};
+    for (int i = 0; i < 100000; ++i)
+        us.push_back(rng.uniform());
+    for (double u : us) {
+        const double theta = 2.0 * M_PI * u;
+        double s, c;
+        ::sincos(theta, &s, &c);
+        EXPECT_TRUE(sameBits(s, std::sin(theta))) << "u " << u;
+        EXPECT_TRUE(sameBits(c, std::cos(theta))) << "u " << u;
+    }
+}
+
+/**
+ * A seeded random interleaving of the lookahead's three draws across
+ * more than three block boundaries returns, call for call, the bits a
+ * parallel Rng returns: unitExponential() is exponential(1.0), and
+ * normal() keeps the Box-Muller cache across blocks.
+ */
+TEST(RngLookahead, MatchesRngCallForCallAcrossBlocks)
+{
+    for (uint64_t seed = 1; seed <= 4; ++seed) {
+        Rng parent(seed), ref(seed);
+        Rng chooser(seed + 100);
+        RngLookahead ahead(parent);
+        size_t draws = 0;
+        while (draws < 4 * RngLookahead::kBlock + 17) {
+            switch (chooser.uniformInt(0, 2)) {
+            case 0:
+                ASSERT_TRUE(sameBits(ahead.uniform(), ref.uniform()))
+                    << "uniform, seed " << seed << " draw " << draws;
+                ++draws;
+                break;
+            case 1:
+                ASSERT_TRUE(
+                    sameBits(ahead.unitExponential(), ref.exponential(1.0)))
+                    << "unitExponential, seed " << seed << " draw " << draws;
+                ++draws;
+                break;
+            default:
+                ASSERT_TRUE(sameBits(ahead.normal(), ref.normal()))
+                    << "normal, seed " << seed << " draw " << draws;
+                ++draws; // two calls consume two raw draws
+                break;
+            }
+        }
+        ahead.commit();
+        EXPECT_TRUE(sameBits(parent.normal(), ref.normal()));
+        EXPECT_EQ(parent.next(), ref.next());
+    }
+}
+
+/**
+ * commit() leaves the parent exactly where the consumed draws leave
+ * the reference, Box-Muller cache included: after no draw, mid-block,
+ * at exactly one block, just past it and two blocks in, with and
+ * without a cached normal before the lookahead starts, and again after
+ * a second commit.
+ */
+TEST(RngLookahead, CommitLeavesParentAtConsumedPosition)
+{
+    const size_t block = RngLookahead::kBlock;
+    for (size_t count : {size_t(0), size_t(1), size_t(57), block - 1,
+                         block, block + 1, 2 * block}) {
+        for (bool primed : {false, true}) {
+            Rng parent(99), ref(99);
+            if (primed) {
+                ASSERT_TRUE(sameBits(parent.normal(), ref.normal()));
+            }
+            RngLookahead ahead(parent);
+            for (size_t i = 0; i < count; ++i)
+                ASSERT_TRUE(sameBits(ahead.uniform(), ref.uniform()));
+            ahead.commit();
+            EXPECT_TRUE(sameBits(parent.normal(), ref.normal()))
+                << count << " draws, primed " << primed;
+            EXPECT_TRUE(sameBits(parent.normal(), ref.normal()))
+                << count << " draws, primed " << primed;
+            EXPECT_EQ(parent.next(), ref.next())
+                << count << " draws, primed " << primed;
+        }
+    }
+
+    // A normal() drawn inside the block leaves its partner cached, and
+    // a second commit after more draws moves the parent again.
+    Rng parent(7), ref(7);
+    RngLookahead ahead(parent);
+    for (size_t i = 0; i < 3; ++i)
+        ASSERT_TRUE(sameBits(ahead.unitExponential(), ref.exponential(1.0)));
+    ASSERT_TRUE(sameBits(ahead.normal(), ref.normal()));
+    ahead.commit();
+    for (size_t i = 0; i < block; ++i)
+        ASSERT_TRUE(sameBits(ahead.uniform(), ref.uniform()));
+    ahead.commit();
+    EXPECT_TRUE(sameBits(parent.normal(), ref.normal()));
+    EXPECT_TRUE(sameBits(parent.normal(), ref.normal()));
+    EXPECT_EQ(parent.next(), ref.next());
 }
 
 TEST(Rng, SplitStreamsAreDecorrelated)
