@@ -34,8 +34,7 @@ Fleet::Fleet(FleetOptions options)
     : options_(std::move(options)),
       config_(options_.all_resources
                   ? platform::ServerConfig::xeonSilver4114AllResources()
-                  : platform::ServerConfig::xeonSilver4114()),
-      scheduler_(options_.placement)
+                  : platform::ServerConfig::xeonSilver4114())
 {
     CLITE_CHECK(options_.nodes >= 1, "a fleet needs at least one node");
     CLITE_CHECK(options_.max_moves >= 1, "max_moves must be >= 1");
@@ -134,8 +133,6 @@ Fleet::snapshot(size_t n) const
             }
         }
     }
-    s.last_score = node.truth_score;
-    s.all_qos_met = node.truth_qos;
     return s;
 }
 
@@ -263,6 +260,10 @@ Fleet::unhostJob(size_t n, size_t idx)
     if (node.initialized)
         node.manager->notifyJobRemoved(idx);
     node.job_ids.erase(node.job_ids.begin() + std::ptrdiff_t(idx));
+    // The job's truth entry leaves with it: fleet QoS never counts a
+    // job on a node it has left.
+    if (idx < node.truth.size())
+        node.truth.erase(node.truth.begin() + std::ptrdiff_t(idx));
 }
 
 void
@@ -280,9 +281,8 @@ Fleet::stepNode(size_t n)
         node.searched = t.reoptimized;
         node.reoptimized = t.reoptimized;
     }
-    // Ground-truth view of the incumbent for fleet metrics and the
-    // headroom surrogate's training signal (noise-free, so the
-    // scheduler learns the partition quality, not the noise).
+    // Ground-truth view of the incumbent, noise-free. It feeds the
+    // fleet's QoS metrics and digest only: no decision reads it.
     node.truth = node.server->observeNoiseless(node.manager->incumbent());
     core::ScoreBreakdown sb = core::scoreObservations(node.truth);
     node.truth_score = sb.score;

@@ -11,8 +11,8 @@
  *
  *  1. **Admission.** Queued jobs — new arrivals and evicted jobs
  *     awaiting rescheduling — are placed onto nodes by the
- *     ClusterScheduler (best-fit on GP-predicted headroom, falling
- *     back to least-loaded). A job that fits nowhere stays queued;
+ *     ClusterScheduler (least-loaded: lowest LC load sum, then fewest
+ *     jobs, then lowest index). A job that fits nowhere stays queued;
  *     nothing is ever dropped.
  *  2. **Node windows.** Every occupied node runs one OnlineManager
  *     step (the initial search for fresh nodes, one monitoring tick
@@ -23,19 +23,21 @@
  *     order. A node whose search proved an LC job cannot be
  *     co-located there (QoS missed even at the maximum-allocation
  *     extremum — the paper's "schedule it elsewhere" signal, now
- *     acted on) evicts that job. The evicted job is placed onto
- *     another node with predicted headroom; both source and
- *     destination adapt through incumbent-seeded re-optimizations at
- *     their next window (an empty destination runs its first window
- *     in the same tick). A job evicted more than max_moves times (or
+ *     acted on) evicts that job. The evicted job is placed onto the
+ *     least-loaded other node with room; both source and destination
+ *     adapt through incumbent-seeded re-optimizations at their next
+ *     window (an empty destination runs its first window in the same
+ *     tick). A job evicted more than max_moves times (or
  *     infeasible even alone on a node) is parked: it stays in the
  *     registry, reported as unplaceable, rather than ping-ponging
  *     through the fleet.
  *
- * Fleet-level metrics (QoS-met fraction over LC jobs, mean BG
- * normalized throughput) are ground-truth values from noise-free
+ * Fleet-level metrics (QoS-met fraction over admitted LC jobs, mean BG
+ * normalized throughput over admitted BG jobs; a pending or parked job
+ * counts as a miss or as 0) are ground-truth values from noise-free
  * observation of each node's incumbent, aggregated with
- * stats::RunningStats.
+ * stats::RunningStats. They are reported only: no decision reads
+ * ground truth.
  */
 
 #ifndef CLITE_CLUSTER_FLEET_H
@@ -86,8 +88,6 @@ struct FleetOptions
     uint64_t search_event_budget = 2000;
     /** Per-node monitoring knobs. */
     core::MonitorOptions monitor;
-    /** Placement knobs. */
-    PlacementOptions placement;
     /** Evictions a job may suffer before it is parked. */
     int max_moves = 3;
     /**
@@ -132,10 +132,11 @@ struct FleetWindow
     int parked = 0;          ///< Jobs parked this window.
     int reoptimizations = 0; ///< Node searches run this window.
     int pending = 0;         ///< Queue depth after the window.
-    /** Ground-truth fraction of placed LC jobs meeting QoS (1 when
-     *  none are placed). */
+    /** Ground-truth fraction of admitted LC jobs meeting QoS; a
+     *  pending or parked LC job is a miss (1 when none admitted). */
     double qos_met_fraction = 1.0;
-    /** Ground-truth mean BG normalized performance (0 when no BG). */
+    /** Ground-truth mean BG normalized performance over admitted BG
+     *  jobs; a pending or parked one adds 0 (0 when none admitted). */
     double mean_bg_perf = 0.0;
     /** Placed jobs at the end of the window. */
     int placed_total = 0;
@@ -216,9 +217,6 @@ class Fleet
     /** Aggregate the run so far. */
     FleetSummary summarize() const;
 
-    /** The placement engine (for tests / introspection). */
-    const ClusterScheduler& scheduler() const { return scheduler_; }
-
     /** The fleet-wide warm-start store (inert when !shared_store). */
     const store::ProfileStore& profileStore() const { return store_; }
     store::ProfileStore& profileStore() { return store_; }
@@ -247,7 +245,11 @@ class Fleet
         bool searched = false;
         /** Did this window re-optimize (post-initialization search)? */
         bool reoptimized = false;
-        /** Ground-truth observations of the incumbent (this window). */
+        /**
+         * Ground-truth observations of the incumbent at the node's last
+         * window, parallel to a prefix of job_ids: a job hosted since
+         * then has no entry yet, and unhostJob() drops a leaving job's.
+         */
         std::vector<platform::JobObservation> truth;
         double truth_score = 0.0;
         bool truth_qos = false;
@@ -298,7 +300,7 @@ class Fleet
     platform::ServerConfig config_;
     size_t node_capacity_ = 0; ///< Max jobs per node (unit budget).
 
-    ClusterScheduler scheduler_;
+    ClusterScheduler scheduler_; ///< The placement rule.
     store::ProfileStore store_; ///< Fleet-shared warm-start priors.
     std::vector<Node> nodes_;
     std::vector<FleetJob> jobs_;

@@ -21,6 +21,13 @@ namespace {
  */
 constexpr double kRejoinDelay = 10.0;
 
+/** met / admitted, or 1 when no LC job was admitted. */
+double
+metFraction(int64_t met, int64_t admitted)
+{
+    return admitted > 0 ? double(met) / double(admitted) : 1.0;
+}
+
 } // namespace
 
 /**
@@ -38,12 +45,12 @@ struct AsyncFleetEngine::StepQueue
     {
         size_t node = 0;
         bool done = false;
-        LcTally delta;            ///< What the step changed in the tally.
+        int64_t delta = 0;        ///< What the step changed in fleet_met_.
         std::exception_ptr error; ///< What the step threw, if anything.
     };
 
-    /** Runs node n's step and returns its tally delta (any thread). */
-    std::function<LcTally(size_t)> run_step;
+    /** Runs node n's step and returns its met-count delta (any thread). */
+    std::function<int64_t(size_t)> run_step;
 
     std::mutex mutex;
     std::condition_variable done_cv;
@@ -67,7 +74,7 @@ struct AsyncFleetEngine::StepQueue
         const uint64_t k = next++;
         const size_t node = at(k).node;
         lk.unlock();
-        LcTally delta;
+        int64_t delta = 0;
         std::exception_ptr error;
         try {
             delta = run_step(node);
@@ -123,10 +130,9 @@ AsyncFleetEngine::AsyncFleetEngine(Fleet& fleet, AsyncOptions options)
                     options_.degrade_below <= 1.0,
                 "degrade_below must be a fraction");
     steps_->run_step = [this](size_t n) {
-        const LcTally before = tallyNode(n);
+        const int64_t before = metOnNode(n);
         fleet_.stepNode(n);
-        const LcTally after = tallyNode(n);
-        return LcTally{after.total - before.total, after.met - before.met};
+        return metOnNode(n) - before;
     };
 }
 
@@ -193,55 +199,54 @@ AsyncFleetEngine::windowsCommitted(size_t n) const
     return nodes_[n].committed;
 }
 
-AsyncFleetEngine::LcTally
-AsyncFleetEngine::tallyNode(size_t n) const
+int64_t
+AsyncFleetEngine::metOnNode(size_t n) const
 {
-    LcTally t;
+    int64_t met = 0;
     for (const platform::JobObservation& ob : fleet_.nodes_[n].truth)
-        if (ob.is_lc) {
-            ++t.total;
-            if (ob.qosMet())
-                ++t.met;
-        }
-    return t;
+        if (ob.is_lc && ob.qosMet())
+            ++met;
+    return met;
 }
 
-AsyncFleetEngine::LcTally
-AsyncFleetEngine::fleetTally() const
+int64_t
+AsyncFleetEngine::fleetMet() const
 {
-    LcTally sum;
-    for (size_t n = 0; n < nodes_.size(); ++n) {
-        const LcTally t = tallyNode(n);
-        sum.total += t.total;
-        sum.met += t.met;
-    }
-    return sum;
+    int64_t met = 0;
+    for (size_t n = 0; n < nodes_.size(); ++n)
+        met += metOnNode(n);
+    return met;
 }
 
-double
-AsyncFleetEngine::metFraction(LcTally t)
+int64_t
+AsyncFleetEngine::lcAdmitted() const
 {
-    return t.total > 0 ? double(t.met) / double(t.total) : 1.0;
+    int64_t lc = 0;
+    for (const FleetJob& job : fleet_.jobs_)
+        if (job.spec.isLatencyCritical())
+            ++lc;
+    return lc;
 }
 
 double
 AsyncFleetEngine::qosMetFraction() const
 {
-    return metFraction(fleetTally());
+    return metFraction(fleetMet(), lcAdmitted());
 }
 
 double
 AsyncFleetEngine::meanBgPerf() const
 {
-    int bg_total = 0;
+    // Every admitted BG job is in the denominator; only running ones
+    // have a truth entry to add.
+    const int64_t bg_admitted =
+        int64_t(fleet_.jobs_.size()) - lcAdmitted();
     double sum = 0.0;
     for (const Fleet::Node& node : fleet_.nodes_)
         for (const platform::JobObservation& ob : node.truth)
-            if (!ob.is_lc) {
-                ++bg_total;
+            if (!ob.is_lc)
                 sum += ob.perfNorm();
-            }
-    return bg_total > 0 ? sum / bg_total : 0.0;
+    return bg_admitted > 0 ? sum / double(bg_admitted) : 0.0;
 }
 
 bool
@@ -424,7 +429,7 @@ AsyncFleetEngine::retireSteps()
         // exactly those: record it before folding in the next one.
         while (!pending_samples_.empty() &&
                pending_samples_.front() == q.first) {
-            qos_history_.add(metFraction(fleet_tally_));
+            qos_history_.add(metFraction(fleet_met_, lc_admitted_));
             pending_samples_.pop_front();
         }
         if (q.steps.empty() || !q.steps.front().done)
@@ -432,8 +437,7 @@ AsyncFleetEngine::retireSteps()
         const StepQueue::Step& step = q.steps.front();
         if (step.error)
             std::rethrow_exception(step.error);
-        fleet_tally_.total += step.delta.total;
-        fleet_tally_.met += step.delta.met;
+        fleet_met_ += step.delta;
         q.steps.pop_front();
         ++q.first;
     }
@@ -444,8 +448,8 @@ AsyncFleetEngine::placeQueued()
 {
     if (fleet_.queue_.empty())
         return;
-    // Placement reads every node's last score and may host onto any
-    // of them.
+    // Placement may host onto any node, and hostJob's pre-warm
+    // broadcast needs an idle pool.
     joinAllSteps();
     window_.placed += fleet_.placeQueued(&quarantine_);
 }
@@ -549,7 +553,7 @@ AsyncFleetEngine::quarantineNode(size_t n)
         job.node = -1;
         fleet_.queue_.push_back(id);
     }
-    fleet_tally_ = fleetTally();
+    fleet_met_ = fleetMet();
     placeQueued();
     activateNodes();
 }
@@ -629,8 +633,6 @@ AsyncFleetEngine::settle()
         window_.mean_bg_perf = meanBgPerf();
         window_sampled_ = true;
     }
-    for (size_t n : settling_)
-        fleet_.scheduler_.recordNode(fleet_.snapshot(n));
     if (fleet_.options_.shared_store)
         for (size_t n : settling_)
             fleet_.store_.put(fleet_.nodes_[n].manager->makeCheckpoint());
@@ -640,7 +642,7 @@ AsyncFleetEngine::settle()
         // Evictions re-place jobs onto other nodes.
         joinAllSteps();
         fleet_.rescheduleNode(n, window_, &quarantine_);
-        fleet_tally_ = fleetTally();
+        fleet_met_ = fleetMet();
     }
     settling_.clear();
     placeQueued();
@@ -822,7 +824,8 @@ AsyncFleetEngine::run(int epochs)
 {
     CLITE_CHECK(epochs >= 1, "run() needs at least one epoch");
     // Every step of an earlier run is joined: count from scratch.
-    fleet_tally_ = fleetTally();
+    fleet_met_ = fleetMet();
+    lc_admitted_ = lcAdmitted();
     try {
         drive(epochs);
     } catch (...) {

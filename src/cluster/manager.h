@@ -15,14 +15,13 @@
  *    events.
  *
  * Completions that share a virtual time settle as one batch: each
- * commits on its own; then, in node order, the batch's nodes teach the
- * placement surrogate and publish checkpoints, then evict infeasible
- * jobs; queued jobs are placed and idle nodes activated last. Jittered
- * async runs never tie, so they settle one commit at a time.
- * Fleet::tick() is one epoch on the lockstep schedule (a worker per
- * node, equal durations, no faults or hedges), which settles as a
- * single batch. A job placed onto an empty node mid-run starts that
- * node's first window in the same run.
+ * commits on its own; then, in node order, the batch's nodes publish
+ * checkpoints, then evict infeasible jobs; queued jobs are placed and
+ * idle nodes activated last. Jittered async runs never tie, so they
+ * settle one commit at a time. Fleet::tick() is one epoch on the
+ * lockstep schedule (a worker per node, equal durations, no faults or
+ * hedges), which settles as a single batch. A job placed onto an
+ * empty node mid-run starts that node's first window in the same run.
  *
  * Failure handling is first-class:
  *
@@ -55,9 +54,9 @@
  *  - a commit waits for its own node's step;
  *  - anything that touches another node — an eviction, a placement
  *    from a non-empty queue, a quarantine, a lockstep window's fleet
- *    QoS sample — first waits for every step in flight (placement
- *    reads every node's last score, and hostJob's pre-warm broadcast
- *    needs an idle pool);
+ *    QoS sample — first waits for every step in flight (placement may
+ *    add a job to any node, and hostJob's pre-warm broadcast needs an
+ *    idle pool);
  *  - run() returns only once every step has been joined.
  *
  * While it waits, the manager runs unclaimed steps itself, oldest
@@ -231,15 +230,19 @@ class AsyncFleetEngine
     uint64_t windowsCommitted(size_t n) const;
 
     /**
-     * Ground-truth fraction of placed LC jobs meeting QoS, from each
-     * node's last committed window (1 when none are placed).
+     * Ground-truth fraction of admitted LC jobs meeting QoS, from each
+     * node's last committed window. A pending or parked LC job, or one
+     * whose node has not run a window since it arrived, is a miss
+     * (1 when no LC job was admitted).
      */
     double qosMetFraction() const;
 
-    /** Ground-truth mean BG normalized perf, same source (0 if none). */
+    /** Ground-truth mean BG normalized perf over admitted BG jobs, same
+     *  source; a BG job not running adds 0 (0 when none admitted). */
     double meanBgPerf() const;
 
-    /** Per-commit QoS-met fraction history (for bench aggregation). */
+    /** Per-commit QoS-met fraction history, over admitted LC jobs like
+     *  qosMetFraction() (for bench aggregation). */
     const stats::RunningStats& qosHistory() const { return qos_history_; }
 
     /** The fault injector (for tests: injected event log). */
@@ -284,13 +287,6 @@ class AsyncFleetEngine
         /** A Replenish event is pending (window-cadence pacing). */
         bool replenish_scheduled = false;
         std::vector<uint64_t> live; ///< Commit-eligible attempt ids.
-    };
-
-    /** LC jobs in ground truth and how many met QoS (or a change). */
-    struct LcTally
-    {
-        int64_t total = 0;
-        int64_t met = 0;
     };
 
     /** Launched node steps shared with the pool jobs running them. */
@@ -348,20 +344,20 @@ class AsyncFleetEngine
     void joinAllSteps();
 
     /**
-     * Fold finished steps into fleet_tally_ in launch order, recording
+     * Fold finished steps into fleet_met_ in launch order, recording
      * each pending per-commit sample once exactly the steps launched
      * before its commit are folded. Rethrows a step's exception.
      */
     void retireSteps();
 
-    /** Node @p n's contribution to the fleet QoS fraction. */
-    LcTally tallyNode(size_t n) const;
+    /** LC jobs meeting QoS in node @p n's ground truth. */
+    int64_t metOnNode(size_t n) const;
 
-    /** Sum of tallyNode() over the fleet. */
-    LcTally fleetTally() const;
+    /** Sum of metOnNode() over the fleet. */
+    int64_t fleetMet() const;
 
-    /** met / total, or 1 when no LC job is placed. */
-    static double metFraction(LcTally t);
+    /** LC jobs admitted to the fleet, whatever their state. */
+    int64_t lcAdmitted() const;
 
     /** Place queued jobs (after joining every step, if any are queued). */
     void placeQueued();
@@ -426,8 +422,11 @@ class AsyncFleetEngine
     /** Per-commit QoS samples not yet recorded: each the launch count
      *  at its commit (the steps it must see, and no more). */
     std::deque<uint64_t> pending_samples_;
-    /** fleetTally() as of the retired steps. */
-    LcTally fleet_tally_;
+    /** fleetMet() as of the retired steps. */
+    int64_t fleet_met_ = 0;
+    /** lcAdmitted() for this run: admissions happen between runs, so
+     *  it is every per-commit sample's denominator. */
+    int64_t lc_admitted_ = 0;
 
     /** Nodes committed at the current virtual time, not yet settled. */
     std::vector<size_t> settling_;

@@ -101,7 +101,15 @@ struct MonitorOptions
      * threads.
      */
     bool auto_checkpoint = true;
-    /** Transient-vs-shift reoptimization policy. */
+    /**
+     * Transient-vs-shift reoptimization policy. Riding pays off only on
+     * flash crowds: in the committed BENCH_traffic.json it avoids 83%
+     * of re-optimizations there for a violating-window fraction of
+     * 0.044 -> 0.061, but raises that fraction from 0.072 to 0.122 on
+     * the composite shape and to 0.233 on the jittered diurnal (QoS-met
+     * windows 0.928 -> 0.767), whose streaks are real shifts. Hence
+     * the Immediate default (docs/TRAFFIC.md).
+     */
     ReoptPolicy reopt_policy = ReoptPolicy::Immediate;
     /**
      * Hysteresis of RideTransients: extra consecutive windows (beyond

@@ -4,13 +4,13 @@
  *
  * A lockstep tick places queued jobs, runs every occupied node's
  * observation window, and then settles the window: it samples fleet
- * QoS, teaches the placement surrogate, publishes checkpoints to the
- * shared store and acts on infeasibility signals, always in node
- * order. Each scenario below pins every FleetWindow field and the
- * fleet digest after every tick, and the fleet summary, store size
- * and per-node warm-start source at the end, to the last ULP. Each is
- * run at 1, 2 and 8 pool threads; the three traces must be identical
- * to each other and to the committed golden.
+ * QoS, publishes checkpoints to the shared store and acts on
+ * infeasibility signals, always in node order. Each scenario below
+ * pins every FleetWindow field and the fleet digest after every tick,
+ * and the fleet summary, store size and per-node warm-start source at
+ * the end, to the last ULP. Each is run at 1, 2 and 8 pool threads;
+ * the three traces must be identical to each other and to the
+ * committed golden.
  *
  * Regenerating after an INTENDED change: see golden.h.
  */

@@ -370,8 +370,8 @@ TEST(AsyncEngine, DegradedPoolServesCriticalNodesFirst)
     AsyncFleetEngine engine(fleet, o);
     const FleetMetrics& m = engine.run(8);
 
-    // Placement spread the two jobs over the two nodes (least-loaded
-    // fallback) — the scenario needs a BG-only node to exist.
+    // Least-loaded placement spread the two jobs over the two nodes —
+    // the scenario needs a BG-only node to exist.
     ASSERT_EQ(fleet.nodeJobIds(0).size(), 1u);
     ASSERT_EQ(fleet.nodeJobIds(1).size(), 1u);
     size_t lc_node =

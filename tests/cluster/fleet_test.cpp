@@ -14,6 +14,7 @@
 #include <set>
 
 #include "cluster/fleet.h"
+#include "cluster/manager.h"
 #include "common/error.h"
 #include "workloads/catalog.h"
 
@@ -101,78 +102,38 @@ TEST(Fleet, EmptyFleetTicksAreHarmless)
     EXPECT_EQ(fleet.summarize().jobs_admitted, 0);
 }
 
-TEST(Fleet, InfeasibleJobIsRescheduledToAnIdleNode)
+TEST(Fleet, JobPlacedOnAnIdleNodeMidRunRunsItsFirstWindowInTheSameRun)
 {
-    // Warm node 0's headroom surrogate while node 1 stays empty; the
-    // best-fit policy then co-locates the newcomer on node 0 (an
-    // empty node has no surrogate and cannot bid). Driving the
-    // newcomer's load to 100% makes it provably infeasible there —
-    // the search's extremum check fires — and the fleet must move it
-    // to the idle node, where it is feasible alone.
-    Fleet fleet(fastFleet(2));
-    uint64_t anchor = fleet.admit(workloads::lcJob("memcached", 0.3));
-    for (int w = 0; w < 5; ++w)
-        fleet.tick();
-    ASSERT_TRUE(fleet.scheduler().model().ready(0));
+    // Least-loaded spreads the two jobs over nodes 0 and 1 and leaves
+    // node 2 empty. Node 0 breaks, so the engine quarantines it and
+    // re-places its LC job mid-run onto the least-loaded healthy node:
+    // the empty one. That node's first window must run in the same
+    // run(), and the job, alone there, meets QoS.
+    Fleet fleet(fastFleet(3));
+    const uint64_t lc = fleet.admit(workloads::lcJob("memcached", 0.3));
+    fleet.admit(workloads::bgJob("canneal"));
+    AsyncOptions o;
+    o.workers = 3;
+    o.max_retries = 1;
+    o.quarantine_failures = 2;
+    platform::FaultPlan::NodeBreak broke;
+    broke.node = 0;
+    broke.after_epoch = 0;
+    o.faults.node_breaks.push_back(broke);
+    AsyncFleetEngine engine(fleet, o);
+    engine.run(6);
 
-    uint64_t probe = fleet.admit(workloads::lcJob("masstree", 0.1));
-    fleet.tick();
-    ASSERT_EQ(fleet.job(probe).node, fleet.job(anchor).node)
-        << "best-fit should have co-located the probe on the warm node";
-
-    fleet.setJobLoad(probe, 1.0);
-    bool moved = false;
-    for (int w = 0; w < 10 && !moved; ++w) {
-        fleet.tick();
-        moved = fleet.job(probe).state == JobState::Placed &&
-                fleet.job(probe).node != fleet.job(anchor).node;
-    }
-    EXPECT_TRUE(moved) << "infeasible job was never rescheduled";
-    EXPECT_GE(fleet.summarize().evictions, 1);
-
-    // Settled: both nodes meet QoS again (masstree has its node to
-    // itself; the drift re-optimization on the source node healed it).
-    for (int w = 0; w < 4; ++w)
-        fleet.tick();
-    EXPECT_DOUBLE_EQ(fleet.history().back().qos_met_fraction, 1.0);
-    expectRegistryConsistent(fleet);
-}
-
-TEST(Fleet, EvictionOntoAnIdleNodeRunsItsFirstWindowInTheSameTick)
-{
-    // The idle-node scenario above, watched tick by tick: the tick
-    // whose eviction places the probe onto the empty node also runs
-    // that node's first window. Its manager is initialized by the end
-    // of the tick, and its search counts in the tick's
-    // re-optimizations next to the source node's.
-    Fleet fleet(fastFleet(2));
-    uint64_t anchor = fleet.admit(workloads::lcJob("memcached", 0.3));
-    for (int w = 0; w < 5; ++w)
-        fleet.tick();
-    uint64_t probe = fleet.admit(workloads::lcJob("masstree", 0.1));
-    fleet.tick();
-    ASSERT_EQ(fleet.job(probe).node, fleet.job(anchor).node);
-    const size_t idle = fleet.job(anchor).node == 0 ? 1 : 0;
-    ASSERT_EQ(fleet.nodeManager(idle), nullptr);
-
-    fleet.setJobLoad(probe, 1.0);
-    bool moved = false;
-    for (int w = 0; w < 10 && !moved; ++w) {
-        const FleetWindow win = fleet.tick();
-        moved = fleet.job(probe).state == JobState::Placed &&
-                fleet.job(probe).node == int(idle);
-        if (!moved)
-            continue;
-        EXPECT_EQ(win.evicted, 1);
-        EXPECT_EQ(win.rescheduled, 1);
-        const core::OnlineManager* manager = fleet.nodeManager(idle);
-        ASSERT_NE(manager, nullptr);
-        EXPECT_NO_THROW(manager->lastResult())
-            << "the destination's first search did not run this tick";
-        EXPECT_EQ(win.reoptimizations, 2)
-            << "source and destination searches both count";
-    }
-    EXPECT_TRUE(moved) << "infeasible job was never rescheduled";
+    ASSERT_TRUE(engine.quarantined(0));
+    ASSERT_EQ(fleet.job(lc).state, JobState::Placed);
+    ASSERT_EQ(fleet.job(lc).node, 2)
+        << "the quarantined job should land on the idle node";
+    EXPECT_EQ(engine.windowsCommitted(2), 6u)
+        << "the idle node's windows did not all run in the same run()";
+    const core::OnlineManager* manager = fleet.nodeManager(2);
+    ASSERT_NE(manager, nullptr);
+    EXPECT_NO_THROW(manager->lastResult())
+        << "the idle node's first search did not run";
+    EXPECT_EQ(engine.qosMetFraction(), 1.0);
     expectRegistryConsistent(fleet);
 }
 
@@ -199,13 +160,13 @@ TEST(Fleet, UnservableJobIsParkedAfterMoveBudget)
 
     EXPECT_EQ(fleet.job(probe).state, JobState::Parked);
     EXPECT_GT(fleet.job(probe).moves, options.max_moves);
-    // The bystanders were never lost and QoS recovers without the
-    // unservable tenant.
+    // The bystanders were never lost and meet QoS without the
+    // unservable tenant; the parked tenant still counts, as a miss.
     EXPECT_EQ(fleet.job(a).state, JobState::Placed);
     EXPECT_EQ(fleet.job(b).state, JobState::Placed);
     for (int w = 0; w < 4; ++w)
         fleet.tick();
-    EXPECT_DOUBLE_EQ(fleet.history().back().qos_met_fraction, 1.0);
+    EXPECT_EQ(fleet.history().back().qos_met_fraction, 2.0 / 3.0);
     expectRegistryConsistent(fleet);
 }
 
