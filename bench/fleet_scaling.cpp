@@ -51,7 +51,7 @@ struct ScalePoint
     int jobs = 0;
     double qos_met_mean = 0.0;
     double qos_met_final = 0.0;
-    double bg_perf_mean = 0.0;
+    double bg_perf_final = 0.0;
     int evictions = 0;
     int parked = 0;
     int pending = 0;
@@ -120,7 +120,7 @@ runLockstep(int nodes, int windows)
     p.jobs = admitted;
     p.qos_met_mean = s.qos_met_fraction.mean();
     p.qos_met_final = fleet.history().back().qos_met_fraction;
-    p.bg_perf_mean = s.bg_perf.mean();
+    p.bg_perf_final = fleet.history().back().mean_bg_perf;
     p.evictions = s.evictions;
     p.parked = s.jobs_parked;
     p.pending = s.jobs_pending;
@@ -177,7 +177,7 @@ runAsync(int nodes, int windows,
     p.jobs = admitted;
     p.qos_met_mean = engine.qosHistory().mean();
     p.qos_met_final = engine.qosMetFraction();
-    p.bg_perf_mean = engine.meanBgPerf();
+    p.bg_perf_final = engine.meanBgPerf();
     p.evictions = s.evictions;
     p.parked = s.jobs_parked;
     p.pending = s.jobs_pending;
@@ -205,13 +205,13 @@ maybeWriteJson(const std::vector<ScalePoint>& points)
             buf, sizeof(buf),
             "    {\"mode\": \"%s\", \"nodes\": %d, \"jobs\": %d, "
             "\"qos_met_mean\": %.6f, \"qos_met_final\": %.6f, "
-            "\"bg_perf_mean\": %.6f, \"evictions\": %d, \"parked\": %d, "
+            "\"bg_perf_final\": %.6f, \"evictions\": %d, \"parked\": %d, "
             "\"pending\": %d, \"ms_per_window\": %.3f, "
             "\"tasks_retried\": %llu, \"hedges_won\": %llu, "
             "\"workers_lost\": %llu, \"nodes_quarantined\": %llu, "
             "\"windows_dropped\": %llu}%s\n",
             p.mode, p.nodes, p.jobs, p.qos_met_mean, p.qos_met_final,
-            p.bg_perf_mean, p.evictions, p.parked, p.pending,
+            p.bg_perf_final, p.evictions, p.parked, p.pending,
             p.ms_per_window, (unsigned long long)p.retried,
             (unsigned long long)p.hedges_won,
             (unsigned long long)p.workers_lost,
@@ -254,14 +254,14 @@ main(int argc, char** argv)
     }
 
     TextTable t({"Mode", "Nodes", "Jobs", "QoS met (mean)",
-                 "QoS met (final)", "BG perf", "Evict", "Parked",
+                 "QoS met (final)", "BG perf (final)", "Evict", "Parked",
                  "Pending", "ms/window", "Retried", "HedgeW", "WLost",
                  "Quar", "Shed"});
     for (const ScalePoint& p : points)
         t.addRow({p.mode, std::to_string(p.nodes), std::to_string(p.jobs),
                   TextTable::percent(p.qos_met_mean, 1),
                   TextTable::percent(p.qos_met_final, 1),
-                  TextTable::num(p.bg_perf_mean, 3),
+                  TextTable::num(p.bg_perf_final, 3),
                   std::to_string(p.evictions), std::to_string(p.parked),
                   std::to_string(p.pending),
                   TextTable::num(p.ms_per_window, 1),

@@ -306,6 +306,9 @@ Fleet::rescheduleNode(size_t n, FleetWindow& w,
     if (!reportsInfeasible(n))
         return;
     Node& node = nodes_[n];
+    // Alone when the search ran: this report's own evictions must not
+    // leave its last job looking infeasible with the machine to itself.
+    const bool alone = node.job_ids.size() == 1;
     // Descending index order keeps the remaining reported indices
     // valid as rows shift down.
     std::vector<size_t> evict = node.manager->lastResult().infeasible_jobs;
@@ -315,7 +318,6 @@ Fleet::rescheduleNode(size_t n, FleetWindow& w,
             continue;
         uint64_t id = node.job_ids[idx];
         FleetJob& job = jobs_[size_t(id) - 1];
-        bool alone = node.job_ids.size() == 1;
         unhostJob(n, idx);
         ++evictions_;
         ++w.evicted;

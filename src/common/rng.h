@@ -136,7 +136,7 @@ class Rng
 
 /**
  * Block lookahead over an Rng stream for a hot loop whose draws sit on
- * a serial dependency chain (the DES event loop). It draws the next
+ * a serial dependency chain (the DES station loop). It draws the next
  * kBlock uniforms of a copy of the stream, with their unit exponentials
  * -log(1 - u), in one tight loop, so the log calls overlap each other
  * instead of stalling the loop one at a time. Every value it returns

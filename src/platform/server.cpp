@@ -201,6 +201,16 @@ SimulatedServer::isolationBaseline(size_t j) const
         for (size_t r = 0; r < config_.resourceCount(); ++r)
             units[r] = iso.get(j, r);
         Rng iso_rng(0x15015015ull + j); // fixed: baseline is noise-free
+        // The baseline is cached and divides every later score of the
+        // job, so it is measured fine even inside a coarse search
+        // probe; the caller's budget is restored on every exit.
+        struct FineBaseline
+        {
+            workloads::PerformanceModel& model;
+            uint64_t budget;
+            ~FineBaseline() { model.setEventBudget(budget); }
+        } fine{*model_, model_->eventBudget()};
+        model_->setEventBudget(0);
         workloads::JobMeasurement m =
             model_->measure(jobs_[j], units, config_, iso_rng);
         iso_cache_value_[j] = jobs_[j].isLatencyCritical() ? m.p95_ms

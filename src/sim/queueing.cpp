@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 #include <span>
 #include <vector>
 
@@ -87,91 +86,25 @@ keepTopTail(const std::vector<double>& rt, double* buf)
     return kept;
 }
 
-/** An in-service request: departure event plus its arrival stamp. */
-struct Departure
-{
-    double time;
-    uint64_t seq;
-    double arrival;
-};
-
-/** Event order of a generic calendar simulator: (time, seq) ascending. */
-inline bool
-departsBefore(const Departure& a, const Departure& b)
-{
-    if (a.time != b.time)
-        return a.time < b.time;
-    return a.seq < b.seq;
-}
-
 /**
- * Per-thread buffers of the fast path, reused across calls: a
+ * Per-thread buffers of the station loop, reused across calls: a
  * QueueingSimModel window in steady state touches only this warm
  * storage.
  */
 struct StationScratch
 {
-    std::vector<Departure> in_service; ///< unsorted, size <= c
-    size_t min_idx = 0;                ///< index of the next departure
-    std::vector<double> waiting;       ///< FIFO ring (head index below)
-    size_t waiting_head = 0;
-    std::vector<double> response;
+    std::vector<double> free_at;  ///< per server: when it next falls idle
+    std::vector<double> response; ///< measured responses, arrival order
     std::vector<double> sort_buf;
 };
 
 thread_local StationScratch t_scratch;
 
-/** Head-of-queue sentinel when no departure is pending: any finite
-    arrival time sorts before it, so the loop needs no empty check. */
-constexpr double kNoDeparture = std::numeric_limits<double>::infinity();
-
 /**
- * The in-service set is an unsorted array with a tracked minimum: at
- * <= c entries a push costs one comparison and a pop one linear
- * rescan, beating a binary heap's sift moves at station sizes. The
- * minimum's (time, seq) is mirrored into caller-held locals so the
- * hot loop compares against registers, not memory. The (time, seq)
- * minimum is unique (seq never repeats), so any structure that pops
- * the exact minimum replays the generic simulator's event order — the
- * choice of structure cannot affect bit-identity.
- */
-inline void
-pushService(StationScratch& s, const Departure& d, double& head_time,
-            uint64_t& head_seq)
-{
-    if (d.time < head_time || (d.time == head_time && d.seq < head_seq)) {
-        s.min_idx = s.in_service.size();
-        head_time = d.time;
-        head_seq = d.seq;
-    }
-    s.in_service.push_back(d);
-}
-
-/** Remove the tracked minimum and rescan for the next one. */
-inline void
-popService(StationScratch& s, double& head_time, uint64_t& head_seq)
-{
-    s.in_service[s.min_idx] = s.in_service.back();
-    s.in_service.pop_back();
-    if (s.in_service.empty()) {
-        s.min_idx = 0;
-        head_time = kNoDeparture;
-        return;
-    }
-    size_t best = 0;
-    for (size_t i = 1; i < s.in_service.size(); ++i)
-        if (departsBefore(s.in_service[i], s.in_service[best]))
-            best = i;
-    s.min_idx = best;
-    head_time = s.in_service[best].time;
-    head_seq = s.in_service[best].seq;
-}
-
-/**
- * Service samplers the event loop is specialized on (one instantiation
- * per distribution hoists the per-draw dispatch and the constant parts
- * of each draw out of the loop). Each draws from the loop's
- * RngLookahead, which returns the bits the caller's Rng would.
+ * Service samplers the station loop is specialized on (one
+ * instantiation per distribution hoists the per-draw dispatch and the
+ * constant parts of each draw out of the loop). Each draws from the
+ * loop's RngLookahead, which returns the bits the caller's Rng would.
  *
  * LogNormalService inlines Rng::logNormalMean with mu precomputed:
  * logNormalMean(mean, sigma) computes mu = log(mean) - sigma^2/2 from
@@ -238,17 +171,19 @@ makeParetoSampler(const ServiceModel& service)
 }
 
 /**
- * The specialized M/G/c event loop. Exactly one arrival event is ever
- * pending (the renewal process schedules its successor first), so the
- * generic event queue collapses to one (time, seq) pair plus the <= c
- * entry in-service set. Sequence numbers are assigned in the same
- * order a generic simulator's station calls schedule(), and the next
- * event is chosen by the same (time, seq) order, so the RNG draw order
- * — and therefore every response time — is bit-identical to that
- * simulator's (the tests/sim/ oracle). Every draw comes from one
- * RngLookahead, which moves @p rng to exactly the consumed position
- * before the window is summarized. The caller has validated both
- * rates, so no draw re-checks one.
+ * The M/G/c station as an FCFS recursion (Kiefer & Wolfowitz, 1955).
+ * Under FCFS on identical servers the k-th arrival is the k-th request
+ * to start service, and it takes the server that falls idle first, so
+ * the c times at which the servers next fall idle are the whole queue
+ * state: request k starts at max(arrival, earliest free time) and holds
+ * that server until start + service. Each request draws its
+ * interarrival gap and then its service time, in arrival order; the
+ * first gap past the end of the window is drawn and ends the loop.
+ * Responses are recorded in arrival order when the departure falls in
+ * (warmup, warmup + span]. Every draw comes from one RngLookahead,
+ * which moves @p rng to exactly the consumed position before the window
+ * is summarized. The caller has validated both rates, so no draw
+ * re-checks one.
  */
 template <typename Sampler>
 TailMeasurement
@@ -256,70 +191,27 @@ runStationLoop(int servers, double arrival_rate, double warmup, double span,
                Sampler sample, Rng& rng)
 {
     StationScratch& scratch = t_scratch;
+    scratch.free_at.assign(size_t(servers), 0.0);
+    double* free_at = scratch.free_at.data();
     RngLookahead draws(rng);
     const double end = warmup + span;
-    uint64_t next_seq = 0;
-    double next_arrival = draws.unitExponential() / arrival_rate;
-    uint64_t arrival_seq = next_seq++;
-    double head_time = kNoDeparture;
-    uint64_t head_seq = 0;
-    int busy = 0;
-    size_t queued = 0;
-
+    double arrival = 0.0;
     for (;;) {
-        const bool arrival_first =
-            next_arrival < head_time ||
-            (next_arrival == head_time && arrival_seq < head_seq);
-        if (arrival_first) {
-            const double now = next_arrival;
-            if (now > end)
-                break;
-            // Renewal: draw the next arrival before anything else.
-            next_arrival = now + draws.unitExponential() / arrival_rate;
-            arrival_seq = next_seq++;
-            if (busy < servers) {
-                ++busy;
-                double service = sample(draws);
-                CLITE_ASSERT(service >= 0.0,
-                             "negative service time sampled");
-                pushService(scratch,
-                            Departure{now + service, next_seq++, now},
-                            head_time, head_seq);
-            } else {
-                scratch.waiting.push_back(now);
-                ++queued;
-            }
-        } else {
-            // The mirrored head (time, seq) is the pending minimum, so
-            // only the arrival stamp needs a memory load.
-            const double now = head_time;
-            if (now > end)
-                break;
-            const double dep_arrival =
-                scratch.in_service[scratch.min_idx].arrival;
-            popService(scratch, head_time, head_seq);
-            --busy;
-            // Warm-up responses are discarded at t == warmup, so only
-            // strictly later departures are measured.
-            if (now > warmup)
-                scratch.response.push_back(now - dep_arrival);
-            if (queued > 0) {
-                --queued;
-                const double arrived =
-                    scratch.waiting[scratch.waiting_head++];
-                if (scratch.waiting_head == scratch.waiting.size()) {
-                    scratch.waiting.clear();
-                    scratch.waiting_head = 0;
-                }
-                ++busy;
-                double service = sample(draws);
-                CLITE_ASSERT(service >= 0.0,
-                             "negative service time sampled");
-                pushService(scratch,
-                            Departure{now + service, next_seq++, arrived},
-                            head_time, head_seq);
-            }
-        }
+        arrival += draws.unitExponential() / arrival_rate;
+        if (arrival > end)
+            break;
+        const double service = sample(draws);
+        CLITE_ASSERT(service >= 0.0, "negative service time sampled");
+        int first = 0;
+        for (int i = 1; i < servers; ++i)
+            if (free_at[i] < free_at[first])
+                first = i;
+        const double departure = std::max(arrival, free_at[first]) + service;
+        free_at[first] = departure;
+        // Warm-up responses are discarded at t == warmup, so only
+        // strictly later departures are measured.
+        if (departure > warmup && departure <= end)
+            scratch.response.push_back(departure - arrival);
     }
     draws.commit();
     return summarizeWindow(scratch.response, span);
@@ -343,11 +235,11 @@ summarizeWindow(const std::vector<double>& rt, double window)
     out.throughput = double(rt.size()) / window;
     if (rt.empty())
         return out;
-    // Four-way unrolled summation for the mean, in departure order: the
-    // field is diagnostic (nothing downstream consumes it
-    // bit-for-bit), and independent accumulators break the serial
-    // dependency chain a streaming update would force through every
-    // sample.
+    // Four-way unrolled summation for the mean, in the order given (the
+    // station passes arrival order): the field is diagnostic (nothing
+    // downstream consumes it bit-for-bit), and independent accumulators
+    // break the serial dependency chain a streaming update would force
+    // through every sample.
     const size_t n = rt.size();
     double s0 = 0.0, s1 = 0.0, s2 = 0.0, s3 = 0.0;
     size_t i = 0;
@@ -414,15 +306,11 @@ measureStation(int servers, double arrival_rate, const ServiceModel& service,
     }
 
     const double span = effectiveWindow(window, arrival_rate, event_budget);
-    StationScratch& scratch = t_scratch;
-    scratch.in_service.clear();
-    scratch.min_idx = 0;
-    scratch.waiting.clear();
-    scratch.waiting_head = 0;
-    scratch.response.clear();
+    std::vector<double>& response = t_scratch.response;
+    response.clear();
 
     if (arrival_rate <= 0.0)
-        return summarizeWindow(scratch.response, span);
+        return summarizeWindow(response, span);
 
     // The rate checks of Rng::exponential, once per window instead of
     // once per draw.
@@ -459,19 +347,13 @@ void
 prewarmMeasurementScratch(int max_servers, size_t expected_requests)
 {
     StationScratch& scratch = t_scratch;
-    if (max_servers > 0 &&
-        scratch.in_service.capacity() < size_t(max_servers))
-        scratch.in_service.reserve(size_t(max_servers));
+    if (max_servers > 0 && scratch.free_at.capacity() < size_t(max_servers))
+        scratch.free_at.reserve(size_t(max_servers));
     if (expected_requests > 0) {
         if (scratch.response.capacity() < expected_requests)
             scratch.response.reserve(expected_requests);
         if (scratch.sort_buf.capacity() < expected_requests)
             scratch.sort_buf.reserve(expected_requests);
-        // The FIFO ring holds the backlog, a fraction of the
-        // completions even near saturation; a quarter is generous.
-        const size_t backlog = expected_requests / 4 + 64;
-        if (scratch.waiting.capacity() < backlog)
-            scratch.waiting.reserve(backlog);
     }
 }
 

@@ -11,17 +11,20 @@
  * tail latency over an observation window, exactly the quantity CLITE's
  * score function consumes.
  *
- * measureStation() is a specialized M/G/c loop: it tracks the one
- * pending arrival and the <= c in-service departures directly (no
- * generic event queue, no std::function samplers), draws through an
- * RngLookahead so the random draws leave the event loop's dependency
- * chain, and reuses thread-local buffers across calls, so a
- * QueueingSimModel window allocates nothing in steady state. Its event
- * order and RNG draw order are those of a generic calendar simulator
- * running a textbook queueing station; tests/sim/ keeps that simulator
- * as the oracle and pins every result field and the RNG end state,
- * Box-Muller cache included, against it, bit for bit, for every
- * service kind (tests/sim/queueing_fast_test.cpp).
+ * measureStation() runs the station as an FCFS recursion (Kiefer &
+ * Wolfowitz): under FCFS on identical servers the k-th arrival is the
+ * k-th request to start service, so the c times at which the servers
+ * next fall idle are the whole queue state, and there is no event
+ * queue. Draw order: each request draws its interarrival gap and then
+ * its service time, in arrival order, from the caller's Rng (through an
+ * RngLookahead, so the draws leave the recursion's dependency chain);
+ * the first gap that lands past the window is drawn and ends the
+ * window. The loop reuses thread-local buffers across calls, so a
+ * QueueingSimModel window allocates nothing in steady state.
+ * tests/sim/ keeps an event-driven simulation of the same queue, with
+ * the same draw order, as the oracle, and pins every result field and
+ * the RNG end state, Box-Muller cache included, against it, bit for
+ * bit, for every service kind (tests/sim/queueing_fast_test.cpp).
  */
 
 #ifndef CLITE_SIM_QUEUEING_H
@@ -110,11 +113,11 @@ TailMeasurement measureStation(int servers, double arrival_rate,
                                uint64_t event_budget = 0);
 
 /**
- * Summarize one window's response times (seconds, in departure order)
- * over a measured span of @p window seconds, as measureStation() does.
- * p95 and p99 are bit-identical to stats::percentile of @p response,
- * and the mean is summed in departure order. Runs out of the calling
- * thread's measurement scratch.
+ * Summarize one window's response times (seconds) over a measured span
+ * of @p window seconds, as measureStation() does. p95 and p99 are
+ * bit-identical to stats::percentile of @p response, whatever its
+ * order; the mean is summed in the order given (measureStation() passes
+ * arrival order). Runs out of the calling thread's measurement scratch.
  */
 TailMeasurement summarizeWindow(const std::vector<double>& response,
                                 double window);
@@ -123,8 +126,8 @@ TailMeasurement summarizeWindow(const std::vector<double>& response,
  * Pre-size the CALLING thread's measurement scratch — the pooled
  * per-thread slab measureStation() runs out of — so a node's first
  * observation window pays no growth reallocations (first-window
- * jitter). Reserves the in-service heap for @p max_servers and the
- * response/waiting/sort buffers for @p expected_requests completions
+ * jitter). Reserves the server free times for @p max_servers and the
+ * response and selection buffers for @p expected_requests completions
  * (≈ λ · window for the hottest co-located job). thread_local state
  * is reachable only from its own thread: to warm a pool's workers,
  * run this under ThreadPool::broadcast(). Idempotent and monotone —

@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
 
 #include "cluster/fleet.h"
 #include "cluster/manager.h"
@@ -167,6 +168,38 @@ TEST(Fleet, UnservableJobIsParkedAfterMoveBudget)
     for (int w = 0; w < 4; ++w)
         fleet.tick();
     EXPECT_EQ(fleet.history().back().qos_met_fraction, 2.0 / 3.0);
+    expectRegistryConsistent(fleet);
+}
+
+/** An LC job whose QoS target no allocation can meet. */
+workloads::JobSpec
+unservableJob(const std::string& name)
+{
+    workloads::JobSpec job = workloads::lcJob("memcached", 0.3);
+    job.profile.name = name;
+    job.profile.qos_p95_ms = 1e-6;
+    return job;
+}
+
+TEST(Fleet, EvictionsOfOneReportDoNotMakeTheLastJobLookAlone)
+{
+    // Least-loaded puts the heavy servable job on node 0 and both
+    // unservable jobs on node 1, whose first search reports both. They
+    // were judged co-located, so the report must evict both to node 0
+    // (one move each) and park neither as infeasible even alone, though
+    // the second job evicted is the last one left on node 1.
+    Fleet fleet(fastFleet(2));
+    const uint64_t heavy = fleet.admit(workloads::lcJob("xapian", 0.9));
+    const uint64_t a = fleet.admit(unservableJob("unservable-a"));
+    const uint64_t b = fleet.admit(unservableJob("unservable-b"));
+    FleetWindow w = fleet.tick();
+    ASSERT_EQ(fleet.job(heavy).node, 0);
+    ASSERT_EQ(w.evicted, 2) << "the first report should evict both jobs";
+    for (uint64_t id : {a, b}) {
+        EXPECT_NE(fleet.job(id).state, JobState::Parked) << "job " << id;
+        EXPECT_EQ(fleet.job(id).moves, 1) << "job " << id;
+    }
+    EXPECT_EQ(w.parked, 0);
     expectRegistryConsistent(fleet);
 }
 

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <memory>
 
 #include "common/error.h"
@@ -145,6 +146,38 @@ TEST(SimulatedServer, SetLoadRefreshesBaseline)
     EXPECT_THROW(s.setLoad(2, 0.5), Error); // BG job
     EXPECT_THROW(s.setLoad(0, 0.0), Error);
     EXPECT_THROW(s.setLoad(9, 0.5), Error);
+}
+
+/**
+ * The isolation baseline is cached and divides every later score of
+ * its job, so it must be measured fine even when a coarse search probe
+ * is the first window to ask for it: a DES server that observes first
+ * under the 2000-request coarse budget reports the same baseline, bit
+ * for bit, as its twin observing in fine mode, and keeps its budget.
+ */
+TEST(SimulatedServer, DesBaselineIsMeasuredFineUnderACoarseBudget)
+{
+    auto desServer = [] {
+        std::vector<workloads::JobSpec> jobs = {
+            workloads::lcJob("img-dnn", 0.2),
+            workloads::lcJob("memcached", 0.2),
+        };
+        return SimulatedServer(
+            ServerConfig::xeonSilver4114(), jobs,
+            std::make_unique<workloads::QueueingSimModel>(), 1, 0.0);
+    };
+    SimulatedServer coarse = desServer();
+    SimulatedServer fine = desServer();
+    ASSERT_TRUE(coarse.setMeasurementEventBudget(2000));
+    std::vector<JobObservation> coarse_obs = coarse.observe();
+    std::vector<JobObservation> fine_obs = fine.observe();
+    EXPECT_EQ(coarse.measurementEventBudget(), 2000u);
+    for (size_t j = 0; j < 2; ++j) {
+        const double a = coarse_obs[j].iso_p95_ms;
+        const double b = fine_obs[j].iso_p95_ms;
+        EXPECT_EQ(std::memcmp(&a, &b, sizeof a), 0)
+            << coarse_obs[j].job_name << ": " << a << " vs " << b;
+    }
 }
 
 TEST(SimulatedServer, IsolationSettingsExposeDriverState)

@@ -1,11 +1,12 @@
 /**
  * @file
- * Determinism contract of the specialized measurement loop:
- * measureStation (the production fast path, no generic event queue)
- * must reproduce measureStationReference (QueueingStation on the
- * pooled-heap Simulator, reference_station.h) bit for bit — same event
- * order, same RNG draw order, same summary — across seeds, every
- * service kind, and event budgets. sim/queueing.h names this file as
+ * Determinism contract of the measurement loop: measureStation (the
+ * production FCFS recursion, no event queue) must reproduce
+ * measureStationReference (an event-driven simulation of the same
+ * queue, QueueingStation on the pooled-heap Simulator,
+ * reference_station.h) bit for bit — same RNG draw order, same
+ * responses, same summary — across seeds, every service kind, and
+ * event budgets. sim/queueing.h names this file as
  * the pin for that contract, and for the percentile selection matching
  * a full-sort stats::percentile, on small windows and on the large
  * ones summarized from their top tail only.

@@ -1,6 +1,8 @@
 #include "reference_station.h"
 
+#include <algorithm>
 #include <cmath>
+#include <numeric>
 #include <utility>
 
 #include "common/error.h"
@@ -36,38 +38,56 @@ void
 QueueingStation::resetMeasurements()
 {
     response_.clear();
+    response_index_.clear();
+}
+
+std::vector<double>
+QueueingStation::responseTimesInArrivalOrder() const
+{
+    std::vector<size_t> order(response_.size());
+    std::iota(order.begin(), order.end(), size_t(0));
+    std::sort(order.begin(), order.end(), [this](size_t a, size_t b) {
+        return response_index_[a] < response_index_[b];
+    });
+    std::vector<double> out;
+    out.reserve(order.size());
+    for (size_t i : order)
+        out.push_back(response_[i]);
+    return out;
 }
 
 void
 QueueingStation::onArrival()
 {
-    // Schedule the next arrival first (renewal process).
+    // The request's own service time first, then the gap to the next
+    // arrival (renewal process): one gap and one service per request,
+    // in arrival order.
+    Request request{arrivals_++, sim_.now(), sampler_(rng_)};
+    CLITE_ASSERT(request.service >= 0.0, "negative service time sampled");
     sim_.schedule(rng_.exponential(arrival_rate_), [this] { onArrival(); });
 
-    SimTime arrival = sim_.now();
     if (busy_ < servers_)
-        beginService(arrival);
+        beginService(request);
     else
-        waiting_.push_back(arrival);
+        waiting_.push_back(request);
 }
 
 void
-QueueingStation::beginService(SimTime arrival_time)
+QueueingStation::beginService(const Request& request)
 {
     ++busy_;
-    double service = sampler_(rng_);
-    CLITE_ASSERT(service >= 0.0, "negative service time sampled");
-    sim_.schedule(service,
-                  [this, arrival_time] { onDeparture(arrival_time); });
+    sim_.schedule(request.service,
+                  [this, request] { onDeparture(request); });
 }
 
 void
-QueueingStation::onDeparture(SimTime arrival_time)
+QueueingStation::onDeparture(const Request& request)
 {
     --busy_;
-    response_.push_back(sim_.now() - arrival_time);
+    response_.push_back(sim_.now() - request.arrival);
+    response_index_.push_back(request.index);
     if (!waiting_.empty()) {
-        SimTime next = waiting_.front();
+        Request next = waiting_.front();
         waiting_.pop_front();
         beginService(next);
     }
@@ -126,7 +146,7 @@ measureStationReference(int servers, double arrival_rate,
     station.resetMeasurements();
     simulator.runUntil(warmup + span);
 
-    const std::vector<double>& rt = station.responseTimes();
+    const std::vector<double> rt = station.responseTimesInArrivalOrder();
     TailMeasurement out;
     out.completed = rt.size();
     out.throughput = double(rt.size()) / span;

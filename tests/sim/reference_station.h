@@ -4,12 +4,15 @@
  * sim::measureStation spelled out in simulation primitives — a
  * QueueingStation on the generic event-queue Simulator.
  *
- * The production loop in sim/queueing.h tracks the one pending arrival
- * and the <= c in-service departures directly; this oracle schedules
- * every event through the generic calendar instead. Both assign event
- * sequence numbers in the same order and draw from the RNG in the same
- * order, so every TailMeasurement field — and the RNG end state — must
- * match bit for bit (pinned by queueing_fast_test.cpp).
+ * The production loop in sim/queueing.h computes each response from
+ * the FCFS recursion over the servers' next-idle times; this oracle
+ * simulates the same queue event by event instead: arrivals and
+ * departures on the generic calendar, a FIFO waiting line, a server
+ * handed to the head of the line at each departure. Both draw from the
+ * RNG in the same order — each request's interarrival gap, then its
+ * service time, at its arrival — so every TailMeasurement field (the
+ * mean summed in arrival order) and the RNG end state must match bit
+ * for bit (pinned by queueing_fast_test.cpp).
  */
 
 #ifndef CLITE_TESTS_SIM_REFERENCE_STATION_H
@@ -56,8 +59,12 @@ class QueueingStation
      */
     void resetMeasurements();
 
-    /** Response times (seconds) completed since the last reset. */
+    /** Response times (seconds) completed since the last reset, in
+     *  departure order. */
     const std::vector<double>& responseTimes() const { return response_; }
+
+    /** The same response times in the order their requests arrived. */
+    std::vector<double> responseTimesInArrivalOrder() const;
 
     /** Requests completed since the last reset. */
     size_t completedCount() const { return response_.size(); }
@@ -69,14 +76,23 @@ class QueueingStation
     int busyServers() const { return busy_; }
 
   private:
-    /** Handle one arrival: enter service or queue. */
+    /** One request: its arrival order, stamp and drawn service time. */
+    struct Request
+    {
+        uint64_t index;
+        SimTime arrival;
+        double service;
+    };
+
+    /** Handle one arrival: draw its service, then enter service or
+     *  queue. */
     void onArrival();
 
-    /** Start service for the request that arrived at @p arrival_time. */
-    void beginService(SimTime arrival_time);
+    /** Start service for @p request. */
+    void beginService(const Request& request);
 
-    /** A server finished the request that arrived at @p arrival_time. */
-    void onDeparture(SimTime arrival_time);
+    /** A server finished @p request. */
+    void onDeparture(const Request& request);
 
     Simulator& sim_;
     int servers_;
@@ -85,8 +101,10 @@ class QueueingStation
     Rng& rng_;
 
     int busy_ = 0;
-    std::deque<SimTime> waiting_; // arrival times of queued requests
+    uint64_t arrivals_ = 0;
+    std::deque<Request> waiting_;
     std::vector<double> response_;
+    std::vector<uint64_t> response_index_; // arrival index per response
 };
 
 /**
@@ -94,7 +112,7 @@ class QueueingStation
  * — same parameters, same result, bit for bit. The service sampler is
  * the textbook draw for each kind (Rng::logNormalMean, Rng::exponential,
  * the bounded-Pareto inverse CDF); percentiles come from a full-sort
- * stats::percentile.
+ * stats::percentile, and the mean is summed in arrival order.
  */
 TailMeasurement measureStationReference(int servers, double arrival_rate,
                                         const ServiceModel& service,
