@@ -26,13 +26,16 @@
  * With CLITE_FLEET_JSON=<path> the per-size series is also written as
  * JSON (like BENCH_components.json for the component benchmarks), so
  * scaling regressions are visible across commits
- * (bench/compare_bench.py --mode fleet).
+ * (bench/compare_bench.py --mode fleet). Its context block records
+ * what the timings were taken on: the machine's CPU count, the pool's
+ * thread count, the build type and the compiler.
  */
 
 #include <chrono>
 #include <cstdio>
 #include <fstream>
 #include <iostream>
+#include <thread>
 
 #include "bench_util.h"
 #include "cluster/fleet.h"
@@ -197,7 +200,13 @@ maybeWriteJson(const std::vector<ScalePoint>& points)
     if (path == nullptr || *path == '\0')
         return;
     std::ofstream out(path);
-    out << "{\n  \"benchmark\": \"fleet_scaling\",\n  \"points\": [\n";
+    out << "{\n  \"benchmark\": \"fleet_scaling\",\n"
+        << "  \"context\": {\"num_cpus\": "
+        << std::thread::hardware_concurrency()
+        << ", \"threads\": " << globalPool().threadCount()
+        << ", \"build_type\": \"" << CLITE_BUILD_TYPE
+        << "\", \"compiler\": \"" << CLITE_COMPILER << "\"},\n"
+        << "  \"points\": [\n";
     for (size_t i = 0; i < points.size(); ++i) {
         const ScalePoint& p = points[i];
         char buf[768];

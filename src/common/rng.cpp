@@ -32,11 +32,7 @@ Rng::split(uint64_t tag)
 }
 
 RngLookahead::RngLookahead(Rng& parent)
-    : parent_(parent),
-      ahead_(parent),
-      block_start_(parent.state_),
-      cached_normal_(parent.cached_normal_),
-      has_cached_normal_(parent.has_cached_normal_)
+    : parent_(parent), ahead_(parent), block_start_(parent.state_)
 {
 }
 
@@ -46,10 +42,10 @@ RngLookahead::refill()
     block_start_ = ahead_.state_;
     // The raw draws first, then the logs: the kBlock log calls are
     // independent of each other, so they pipeline.
-    for (double& u : u_)
-        u = ahead_.uniform();
-    for (size_t i = 0; i < kBlock; ++i)
-        e_[i] = detail::unitExponential(u_[i]);
+    for (double& e : e_)
+        e = ahead_.uniform();
+    for (double& e : e_)
+        e = detail::unitExponential(e);
     pos_ = 0;
 }
 
@@ -63,8 +59,6 @@ RngLookahead::commit()
         for (size_t i = 0; i < pos_; ++i)
             parent_.next();
     }
-    parent_.cached_normal_ = cached_normal_;
-    parent_.has_cached_normal_ = has_cached_normal_;
 }
 
 double

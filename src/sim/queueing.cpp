@@ -1,12 +1,10 @@
 #include "sim/queueing.h"
 
 #include <algorithm>
-#include <cmath>
 #include <span>
 #include <vector>
 
 #include "common/error.h"
-#include "stats/distributions.h"
 
 namespace clite {
 namespace sim {
@@ -101,77 +99,7 @@ struct StationScratch
 thread_local StationScratch t_scratch;
 
 /**
- * Service samplers the station loop is specialized on (one
- * instantiation per distribution hoists the per-draw dispatch and the
- * constant parts of each draw out of the loop). Each draws from the
- * loop's RngLookahead, which returns the bits the caller's Rng would.
- *
- * LogNormalService inlines Rng::logNormalMean with mu precomputed:
- * logNormalMean(mean, sigma) computes mu = log(mean) - sigma^2/2 from
- * the same operands on every call and returns exp(normal(mu, sigma))
- * = exp(mu + sigma * normal()), so the hoisted form draws the same
- * stream and returns the same bits. ExponentialService hoists the
- * identical-every-call 1/mean rate the same way, and divides the unit
- * exponential by it as Rng::exponential does.
- */
-struct LogNormalService
-{
-    double mu;
-    double sigma;
-    double operator()(RngLookahead& draws) const
-    {
-        return std::exp(mu + sigma * draws.normal());
-    }
-};
-
-struct ExponentialService
-{
-    double rate;
-    double operator()(RngLookahead& draws) const
-    {
-        return draws.unitExponential() / rate;
-    }
-};
-
-struct FixedService
-{
-    double service;
-    double operator()(RngLookahead&) const { return service; }
-};
-
-/**
- * Bounded-Pareto inverse-CDF sampler with the constant parts hoisted:
- * x = L * (1 - u * (1 - (L/H)^alpha))^(-1/alpha), one uniform draw per
- * request. ratio_term caches 1 - (L/H)^alpha (computed as
- * 1 - ratio^-alpha) and neg_inv_alpha caches -1/alpha.
- */
-struct BoundedParetoService
-{
-    double lower;
-    double ratio_term;
-    double neg_inv_alpha;
-    double operator()(RngLookahead& draws) const
-    {
-        return lower *
-               std::pow(1.0 - draws.uniform() * ratio_term, neg_inv_alpha);
-    }
-};
-
-/** Hoisted bounded-Pareto sampler parameters from a ServiceModel. */
-BoundedParetoService
-makeParetoSampler(const ServiceModel& service)
-{
-    const double lower = stats::boundedParetoLowerForMean(
-        service.mean_service, service.pareto_alpha,
-        service.pareto_tail_ratio);
-    const double ratio_term =
-        1.0 - std::pow(service.pareto_tail_ratio, -service.pareto_alpha);
-    return BoundedParetoService{lower, ratio_term,
-                                -1.0 / service.pareto_alpha};
-}
-
-/**
- * The M/G/c station as an FCFS recursion (Kiefer & Wolfowitz, 1955).
+ * The M/M/c station as an FCFS recursion (Kiefer & Wolfowitz, 1955).
  * Under FCFS on identical servers the k-th arrival is the k-th request
  * to start service, and it takes the server that falls idle first, so
  * the c times at which the servers next fall idle are the whole queue
@@ -182,13 +110,13 @@ makeParetoSampler(const ServiceModel& service)
  * Responses are recorded in arrival order when the departure falls in
  * (warmup, warmup + span]. Every draw comes from one RngLookahead,
  * which moves @p rng to exactly the consumed position before the window
- * is summarized. The caller has validated both rates, so no draw
- * re-checks one.
+ * is summarized. Both draws divide a unit exponential by their rate, as
+ * Rng::exponential does; the caller has validated both rates, so no
+ * draw re-checks one.
  */
-template <typename Sampler>
 TailMeasurement
-runStationLoop(int servers, double arrival_rate, double warmup, double span,
-               Sampler sample, Rng& rng)
+runStationLoop(int servers, double arrival_rate, double service_rate,
+               double warmup, double span, Rng& rng)
 {
     StationScratch& scratch = t_scratch;
     scratch.free_at.assign(size_t(servers), 0.0);
@@ -200,7 +128,7 @@ runStationLoop(int servers, double arrival_rate, double warmup, double span,
         arrival += draws.unitExponential() / arrival_rate;
         if (arrival > end)
             break;
-        const double service = sample(draws);
+        const double service = draws.unitExponential() / service_rate;
         CLITE_ASSERT(service >= 0.0, "negative service time sampled");
         int first = 0;
         for (int i = 1; i < servers; ++i)
@@ -284,26 +212,13 @@ effectiveWindow(double window, double arrival_rate, uint64_t event_budget)
 }
 
 TailMeasurement
-measureStation(int servers, double arrival_rate, const ServiceModel& service,
+measureStation(int servers, double arrival_rate, double mean_service,
                double warmup, double window, Rng& rng, uint64_t event_budget)
 {
     CLITE_CHECK(servers >= 1, "station needs >= 1 server, got " << servers);
     CLITE_CHECK(arrival_rate >= 0.0, "arrival rate must be >= 0");
-    CLITE_CHECK(service.mean_service > 0.0,
-                "mean service time must be > 0");
+    CLITE_CHECK(mean_service > 0.0, "mean service time must be > 0");
     CLITE_CHECK(window > 0.0, "measurement window must be > 0");
-    if (service.kind == ServiceModel::Kind::LogNormal)
-        CLITE_CHECK(service.sigma > 0.0,
-                    "log-normal service needs sigma > 0, got "
-                        << service.sigma);
-    if (service.kind == ServiceModel::Kind::BoundedPareto) {
-        CLITE_CHECK(service.pareto_alpha > 1.0,
-                    "bounded Pareto service needs alpha > 1, got "
-                        << service.pareto_alpha);
-        CLITE_CHECK(service.pareto_tail_ratio > 1.0,
-                    "bounded Pareto service needs tail ratio > 1, got "
-                        << service.pareto_tail_ratio);
-    }
 
     const double span = effectiveWindow(window, arrival_rate, event_budget);
     std::vector<double>& response = t_scratch.response;
@@ -316,31 +231,12 @@ measureStation(int servers, double arrival_rate, const ServiceModel& service,
     // once per draw.
     CLITE_CHECK(arrival_rate > 0.0,
                 "arrival rate must be positive, got " << arrival_rate);
-    const double mean = service.mean_service;
-    switch (service.kind) {
-    case ServiceModel::Kind::Exponential: {
-        const double rate = 1.0 / mean;
-        CLITE_CHECK(rate > 0.0,
-                    "exponential service rate must be positive, got "
-                        << rate);
-        return runStationLoop(servers, arrival_rate, warmup, span,
-                              ExponentialService{rate}, rng);
-    }
-    case ServiceModel::Kind::LogNormal: {
-        // Hoisted logNormalMean(mean, sigma): see LogNormalService.
-        const double sigma = service.sigma;
-        const double mu = std::log(mean) - 0.5 * sigma * sigma;
-        return runStationLoop(servers, arrival_rate, warmup, span,
-                              LogNormalService{mu, sigma}, rng);
-    }
-    case ServiceModel::Kind::Fixed:
-        return runStationLoop(servers, arrival_rate, warmup, span,
-                              FixedService{mean}, rng);
-    case ServiceModel::Kind::BoundedPareto:
-        return runStationLoop(servers, arrival_rate, warmup, span,
-                              makeParetoSampler(service), rng);
-    }
-    CLITE_THROW("unknown service kind");
+    const double service_rate = 1.0 / mean_service;
+    CLITE_CHECK(service_rate > 0.0,
+                "exponential service rate must be positive, got "
+                    << service_rate);
+    return runStationLoop(servers, arrival_rate, service_rate, warmup, span,
+                          rng);
 }
 
 void

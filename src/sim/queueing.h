@@ -5,11 +5,12 @@
  *
  * Models one latency-critical service the way the paper's testbed does:
  * a load generator (Poisson arrivals at the offered QPS) feeding c
- * worker cores; each request holds one core for a sampled service time.
- * Requests queue FIFO when all cores are busy. Response times
- * (queueing + service) are recorded so the harness can report the p95
- * tail latency over an observation window, exactly the quantity CLITE's
- * score function consumes.
+ * worker cores; each request holds one core for an exponentially
+ * distributed service time, so the station is the M/M/c queue the
+ * analytic backend solves in closed form. Requests queue FIFO when all
+ * cores are busy. Response times (queueing + service) are recorded so
+ * the harness can report the p95 tail latency over an observation
+ * window, exactly the quantity CLITE's score function consumes.
  *
  * measureStation() runs the station as an FCFS recursion (Kiefer &
  * Wolfowitz): under FCFS on identical servers the k-th arrival is the
@@ -24,7 +25,7 @@
  * tests/sim/ keeps an event-driven simulation of the same queue, with
  * the same draw order, as the oracle, and pins every result field and
  * the RNG end state, Box-Muller cache included, against it, bit for
- * bit, for every service kind (tests/sim/queueing_fast_test.cpp).
+ * bit (tests/sim/queueing_fast_test.cpp).
  */
 
 #ifndef CLITE_SIM_QUEUEING_H
@@ -68,47 +69,25 @@ constexpr uint64_t kMinEventBudget = 64;
 double effectiveWindow(double window, double arrival_rate,
                        uint64_t event_budget);
 
-/** Service-time distribution of a measured station. */
-struct ServiceModel
-{
-    enum class Kind {
-        Exponential,  ///< M/M/c (the analytic cross-check case).
-        LogNormal,    ///< Light-tailed real request mix.
-        Fixed,        ///< Deterministic service (M/D/c).
-        BoundedPareto ///< Heavy-tailed: rare requests dominate the tail.
-    };
-
-    Kind kind = Kind::Exponential;
-    /** Mean service time in seconds (all kinds). */
-    double mean_service = 0.001;
-    /** Log-sigma (LogNormal only; must be > 0). */
-    double sigma = 0.45;
-    /** Tail index (BoundedPareto only; > 1 so the mean is finite). */
-    double pareto_alpha = 1.5;
-    /** Support ratio H/L (BoundedPareto only; > 1). */
-    double pareto_tail_ratio = 100.0;
-};
-
 /**
- * Simulate an M/G/c station for @p warmup + @p window seconds and
+ * Simulate an M/M/c station for @p warmup + @p window seconds and
  * summarize the measured window (the paper's two-second observation
- * period). Every ServiceModel field the kind reads is validated up
- * front, before the zero-load early return. BoundedPareto draws by
- * inverse CDF (one uniform per request), parameterized so the
- * distribution mean equals service.mean_service.
+ * period). Every argument is validated up front, before the zero-load
+ * early return.
  *
  * @param servers Number of servers c (>= 1).
  * @param arrival_rate Offered load λ (requests/second, >= 0).
- * @param service Service-time distribution.
+ * @param mean_service Mean of the exponential service time (seconds,
+ *     > 0).
  * @param warmup Transient to discard (seconds).
  * @param window Measured window (seconds, > 0).
  * @param rng Randomness.
  * @param event_budget Cap on the expected number of measured requests;
  *     0 (the default) measures the full window. See effectiveWindow().
- * @throws clite::Error on an invalid station or service model.
+ * @throws clite::Error on an invalid station.
  */
 TailMeasurement measureStation(int servers, double arrival_rate,
-                               const ServiceModel& service, double warmup,
+                               double mean_service, double warmup,
                                double window, Rng& rng,
                                uint64_t event_budget = 0);
 

@@ -161,47 +161,5 @@ mmcMeanResponse(int servers, double arrival_rate, double service_rate)
     return wq + 1.0 / service_rate;
 }
 
-double
-boundedParetoQuantile(double u, double alpha, double lower, double upper)
-{
-    CLITE_CHECK(u >= 0.0 && u < 1.0,
-                "bounded Pareto quantile needs u in [0,1), got " << u);
-    CLITE_CHECK(alpha > 0.0, "Pareto alpha must be > 0, got " << alpha);
-    CLITE_CHECK(lower > 0.0 && upper > lower,
-                "bounded Pareto needs 0 < lower < upper, got ["
-                    << lower << ", " << upper << "]");
-    double ratio_term = 1.0 - std::pow(lower / upper, alpha);
-    return lower * std::pow(1.0 - u * ratio_term, -1.0 / alpha);
-}
-
-double
-boundedParetoMean(double alpha, double lower, double upper)
-{
-    CLITE_CHECK(alpha > 0.0, "Pareto alpha must be > 0, got " << alpha);
-    CLITE_CHECK(lower > 0.0 && upper > lower,
-                "bounded Pareto needs 0 < lower < upper, got ["
-                    << lower << ", " << upper << "]");
-    double r = upper / lower;
-    double denom = 1.0 - std::pow(r, -alpha);
-    if (std::fabs(alpha - 1.0) < 1e-12)
-        // alpha -> 1 limit of (1 - r^(1-alpha)) / (alpha - 1).
-        return lower * std::log(r) / denom;
-    return lower * (alpha / (alpha - 1.0)) *
-           (1.0 - std::pow(r, 1.0 - alpha)) / denom;
-}
-
-double
-boundedParetoLowerForMean(double mean, double alpha, double tail_ratio)
-{
-    CLITE_CHECK(mean > 0.0, "mean must be > 0, got " << mean);
-    CLITE_CHECK(alpha > 1.0,
-                "bounded Pareto mean scaling needs alpha > 1, got "
-                    << alpha);
-    CLITE_CHECK(tail_ratio > 1.0,
-                "tail ratio must be > 1, got " << tail_ratio);
-    // The mean scales linearly in L, so solve against the L = 1 mean.
-    return mean / boundedParetoMean(alpha, 1.0, tail_ratio);
-}
-
 } // namespace stats
 } // namespace clite

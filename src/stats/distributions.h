@@ -61,33 +61,6 @@ double mmcResponseQuantile(int servers, double arrival_rate,
 double mmcMeanResponse(int servers, double arrival_rate,
                        double service_rate);
 
-/**
- * Quantile (inverse CDF) of the bounded Pareto(alpha, L, H)
- * distribution: x = L * (1 - u * (1 - (L/H)^alpha))^(-1/alpha).
- *
- * @param u Probability in [0, 1); u = 0 gives L, u -> 1 approaches H.
- * @param alpha Tail index (> 0); smaller = heavier tail.
- * @param lower Support lower bound L (> 0).
- * @param upper Support upper bound H (> lower).
- */
-double boundedParetoQuantile(double u, double alpha, double lower,
-                             double upper);
-
-/** Mean of the bounded Pareto(alpha, L, H) distribution. */
-double boundedParetoMean(double alpha, double lower, double upper);
-
-/**
- * The lower bound L such that bounded Pareto(alpha, L, tail_ratio * L)
- * has the given mean; the DES uses this to parameterize a heavy-tailed
- * service distribution from a profile's mean service time.
- *
- * @param mean Desired distribution mean (> 0).
- * @param alpha Tail index (> 1 so the scaling is well-conditioned).
- * @param tail_ratio H/L (> 1).
- */
-double boundedParetoLowerForMean(double mean, double alpha,
-                                 double tail_ratio);
-
 } // namespace stats
 } // namespace clite
 

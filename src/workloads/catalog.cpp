@@ -92,7 +92,6 @@ buildLcCatalog()
         p.traffic_mb_per_query = 2.5;
         p.mem_capacity_gb = 3.0;
         p.max_qps = 3000.0;
-        p.service_sigma = 0.40;
         calibrateLoadAndQos(p);
         cat[p.name] = p;
     }
@@ -109,7 +108,6 @@ buildLcCatalog()
         p.traffic_mb_per_query = 2.0;
         p.mem_capacity_gb = 8.0;
         p.max_qps = 12000.0;
-        p.service_sigma = 0.50;
         calibrateLoadAndQos(p);
         cat[p.name] = p;
     }
@@ -127,7 +125,6 @@ buildLcCatalog()
         p.mem_capacity_gb = 6.0;
         p.net_mb_per_query = 0.01;
         p.max_qps = 120000.0;
-        p.service_sigma = 0.50;
         calibrateLoadAndQos(p);
         cat[p.name] = p;
     }
@@ -144,7 +141,6 @@ buildLcCatalog()
         p.traffic_mb_per_query = 2.5;
         p.mem_capacity_gb = 12.0;
         p.max_qps = 4500.0;
-        p.service_sigma = 0.45;
         calibrateLoadAndQos(p);
         cat[p.name] = p;
     }
@@ -162,7 +158,6 @@ buildLcCatalog()
         p.mem_capacity_gb = 4.0;
         p.disk_mb_per_query = 0.05;
         p.max_qps = 5000.0;
-        p.service_sigma = 0.45;
         calibrateLoadAndQos(p);
         cat[p.name] = p;
     }

@@ -256,26 +256,10 @@ QueueingSimModel::measure(const JobSpec& job, const std::vector<int>& units,
         return m;
     }
 
-    sim::ServiceModel service;
-    service.mean_service = cost.service_ms / 1000.0;
-    switch (job.profile.service_distribution) {
-    case ServiceDistribution::Exponential:
-        // Matches the analytic backend's M/M/c.
-        service.kind = sim::ServiceModel::Kind::Exponential;
-        break;
-    case ServiceDistribution::LogNormal:
-        service.kind = sim::ServiceModel::Kind::LogNormal;
-        service.sigma = job.profile.service_sigma;
-        break;
-    case ServiceDistribution::BoundedPareto:
-        service.kind = sim::ServiceModel::Kind::BoundedPareto;
-        service.pareto_alpha = job.profile.pareto_alpha;
-        service.pareto_tail_ratio = job.profile.pareto_tail_ratio;
-        break;
-    }
+    // Exponential service: the analytic backend's M/M/c.
     const sim::TailMeasurement tm = sim::measureStation(
-        cost.cores, lambda, service, warmup_s_, window_s_, rng,
-        event_budget_);
+        cost.cores, lambda, cost.service_ms / 1000.0, warmup_s_, window_s_,
+        rng, event_budget_);
     m.p95_ms = tm.p95 * 1000.0;
     m.p99_ms = tm.p99 * 1000.0;
     m.mean_ms = tm.mean * 1000.0;

@@ -10,9 +10,10 @@
  *    latency and a rate equation for BG throughput. Fast enough for
  *    the ORACLE brute-force sweeps (~1 µs per evaluation).
  *  - QueueingSimModel: the discrete-event simulator of sim/ replays
- *    the same service-time model with log-normal service draws and
- *    Poisson arrivals over a warm-up + observation window (the paper's
- *    two-second measurement period) and reports the empirical p95.
+ *    the same M/M/c queue — exponential service draws at the derived
+ *    mean service time, Poisson arrivals — over a warm-up +
+ *    observation window (the paper's two-second measurement period)
+ *    and reports the empirical p95.
  *
  * Cost derivation per job given its allocation (cores c, ways w,
  * bandwidth units b, optional capacity/disk/net units):

@@ -33,16 +33,6 @@ namespace workloads {
 enum class JobClass { LatencyCritical, Background };
 
 /**
- * Per-query service-time distribution used by the DES backend.
- * Exponential matches the analytic M/M/c closed form (the default, so
- * the two backends cross-validate); LogNormal gives the lighter-tailed
- * service mix real request processing shows; BoundedPareto gives the
- * heavy-tailed mix (a few requests orders of magnitude costlier than
- * the median) that dominates warehouse tail latency.
- */
-enum class ServiceDistribution { Exponential, LogNormal, BoundedPareto };
-
-/**
  * Resource-sensitivity description of one application.
  */
 struct WorkloadProfile
@@ -91,23 +81,6 @@ struct WorkloadProfile
     double max_qps = 1000.0;
     /** p95 QoS target (ms); knee of the QPS-vs-p95 curve (Fig. 6). */
     double qos_p95_ms = 5.0;
-    /** Service-time distribution for the DES backend. */
-    ServiceDistribution service_distribution =
-        ServiceDistribution::Exponential;
-    /** Log-normal sigma of per-query service time (LogNormal only). */
-    double service_sigma = 0.45;
-    /**
-     * Pareto tail index alpha (BoundedPareto only); must be > 1 so the
-     * mean is finite and the lower bound can be solved from it. Lower
-     * alpha = heavier tail (1.5 is the classic web-request shape).
-     */
-    double pareto_alpha = 1.5;
-    /**
-     * Upper/lower bound ratio H/L of the bounded Pareto support
-     * (BoundedPareto only): the costliest request is tail_ratio times
-     * the cheapest.
-     */
-    double pareto_tail_ratio = 100.0;
 
     // --- BG scaling ----------------------------------------------------
     /** Amdahl parallel fraction in [0, 1] (BG jobs). */

@@ -204,16 +204,25 @@ CsvReplayTrace::CsvReplayTrace(std::vector<Sample> samples)
     CLITE_CHECK(!samples_.empty(),
                 "CSV replay trace needs at least one sample");
     for (size_t i = 0; i < samples_.size(); ++i) {
+        CLITE_CHECK(std::isfinite(samples_[i].t_seconds),
+                    "CSV sample " << i << " time must be finite, got "
+                        << samples_[i].t_seconds);
         CLITE_CHECK(samples_[i].load > 0.0 && samples_[i].load <= 1.0,
                     "CSV sample " << i << " load must be in (0, 1], got "
                         << samples_[i].load);
-        if (i > 0)
+        if (i > 0) {
             CLITE_CHECK(
                 samples_[i].t_seconds > samples_[i - 1].t_seconds,
                 "CSV sample times must be strictly increasing: sample "
                     << i << " at " << samples_[i].t_seconds
                     << "s does not follow sample " << (i - 1) << " at "
                     << samples_[i - 1].t_seconds << "s");
+            // loadAt divides by the gap, which must not overflow.
+            CLITE_CHECK(std::isfinite(samples_[i].t_seconds -
+                                      samples_[i - 1].t_seconds),
+                        "CSV samples " << (i - 1) << " and " << i
+                                       << " are too far apart");
+        }
     }
 }
 
@@ -233,7 +242,8 @@ CsvReplayTrace::fromCsvString(const std::string& text)
         char trailing = '\0';
         int fields = std::sscanf(line.c_str(), " %lf , %lf %c",
                                  &s.t_seconds, &s.load, &trailing);
-        CLITE_CHECK(fields == 2,
+        // sscanf stops at a NUL, so one would hide the rest of the line.
+        CLITE_CHECK(fields == 2 && line.find('\0') == std::string::npos,
                     "CSV line " << line_no
                         << " is not \"t_seconds,load\": '" << line
                         << "'");
@@ -268,6 +278,9 @@ CsvReplayTrace::toCsvString() const
 double
 CsvReplayTrace::loadAt(double t_seconds) const
 {
+    // A NaN time compares false everywhere, so the search below would
+    // land past the last sample.
+    CLITE_CHECK(!std::isnan(t_seconds), "trace time must not be NaN");
     if (t_seconds <= samples_.front().t_seconds)
         return samples_.front().load;
     if (t_seconds >= samples_.back().t_seconds)
@@ -278,6 +291,11 @@ CsvReplayTrace::loadAt(double t_seconds) const
     const Sample& hi = *it;
     const Sample& lo = *std::prev(it);
     double frac = (t_seconds - lo.t_seconds) / (hi.t_seconds - lo.t_seconds);
+    // t_seconds < hi.t_seconds, yet the quotient can round up to 1 when
+    // the times dwarf their difference, and lo + (hi - lo) need not be
+    // hi: it can even reach 0.
+    if (frac >= 1.0)
+        return hi.load;
     // Interpolation between validated loads stays in (0, 1]; replayed
     // data is returned exactly, like StepTrace.
     return lo.load + (hi.load - lo.load) * frac;
@@ -310,21 +328,6 @@ withTrace(JobSpec spec, const LoadTrace& trace, double horizon_seconds,
     spec.trace_mean_load =
         traceMeanLoad(trace, horizon_seconds, step_seconds);
     spec.load_fraction = spec.trace_mean_load;
-    return spec;
-}
-
-JobSpec
-heavyTailed(JobSpec spec, double alpha, double tail_ratio)
-{
-    CLITE_CHECK(alpha > 1.0,
-                "heavy-tailed alpha must be > 1 (finite mean), got "
-                    << alpha);
-    CLITE_CHECK(tail_ratio > 1.0,
-                "heavy-tailed tail ratio must be > 1, got "
-                    << tail_ratio);
-    spec.profile.service_distribution = ServiceDistribution::BoundedPareto;
-    spec.profile.pareto_alpha = alpha;
-    spec.profile.pareto_tail_ratio = tail_ratio;
     return spec;
 }
 

@@ -219,8 +219,8 @@ class CsvReplayTrace : public LoadTrace
     };
 
     /**
-     * @param samples Samples in strictly increasing time order, at
-     *     least one, every load in (0, 1].
+     * @param samples Samples at finite, strictly increasing times with
+     *     finite gaps, at least one, every load in (0, 1].
      */
     explicit CsvReplayTrace(std::vector<Sample> samples);
 
@@ -241,6 +241,7 @@ class CsvReplayTrace : public LoadTrace
      */
     std::string toCsvString() const;
 
+    /** @throws clite::Error on a NaN time. */
     double loadAt(double t_seconds) const override;
     std::string name() const override { return "csv-replay"; }
 
@@ -265,15 +266,6 @@ double traceMeanLoad(const LoadTrace& trace, double horizon_seconds,
  */
 JobSpec withTrace(JobSpec spec, const LoadTrace& trace,
                   double horizon_seconds, double step_seconds = 1.0);
-
-/**
- * Make a JobSpec's per-request service times heavy-tailed: switches
- * the profile to ServiceDistribution::BoundedPareto with the given
- * tail index and H/L support ratio. The DES keeps the profile's mean
- * service time; only the shape (and hence the p95/p99 tail) changes.
- */
-JobSpec heavyTailed(JobSpec spec, double alpha = 1.5,
-                    double tail_ratio = 100.0);
 
 } // namespace traffic
 } // namespace workloads

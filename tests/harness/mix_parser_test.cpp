@@ -5,12 +5,47 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
 #include "common/error.h"
 #include "harness/mix_parser.h"
+#include "workloads/catalog.h"
 
 namespace clite {
 namespace harness {
 namespace {
+
+/**
+ * Text-parser fuzz inputs from one valid input: every truncation, then
+ * every substitution of one byte from the bytes numbers, separators and
+ * comments are made of ('n' and 'i' start "nan" and "inf", and NUL
+ * ends a C string early).
+ */
+std::vector<std::string>
+textMutations(const std::string& valid)
+{
+    const std::string alphabet =
+        std::string("0123456789.,-+e@%# \nni") + '\0';
+    std::vector<std::string> out;
+    for (size_t len = 0; len < valid.size(); ++len)
+        out.push_back(valid.substr(0, len));
+    for (size_t i = 0; i < valid.size(); ++i)
+        for (char c : alphabet)
+            if (c != valid[i]) {
+                out.push_back(valid);
+                out.back()[i] = c;
+            }
+    return out;
+}
+
+/** True when @p name is one of @p names. */
+bool
+contains(const std::vector<std::string>& names, const std::string& name)
+{
+    return std::find(names.begin(), names.end(), name) != names.end();
+}
 
 TEST(MixParser, ParsesLcAndBgTerms)
 {
@@ -69,6 +104,38 @@ TEST(MixParser, FormatRoundTrips)
     for (size_t i = 0; i < jobs.size(); ++i) {
         EXPECT_EQ(again[i].profile.name, jobs[i].profile.name);
         EXPECT_NEAR(again[i].load_fraction, jobs[i].load_fraction, 0.005);
+    }
+}
+
+/**
+ * Every fuzzed mix either throws clite::Error or parses into catalog
+ * jobs: an LC job carries a load in (0, 1], a BG job is a BG workload.
+ */
+TEST(MixParser, FuzzedInputThrowsOrParsesCatalogJobs)
+{
+    const std::string valid = "img-dnn@30%,memcached@0.4,streamcluster";
+    ASSERT_NO_THROW(parseMix(valid));
+    for (const std::string& text : textMutations(valid)) {
+        std::vector<workloads::JobSpec> jobs;
+        try {
+            jobs = parseMix(text);
+        } catch (const Error&) {
+            continue;
+        }
+        ASSERT_FALSE(jobs.empty()) << "input '" << text << "'";
+        for (const workloads::JobSpec& job : jobs) {
+            const std::string& name = job.profile.name;
+            if (job.isLatencyCritical()) {
+                EXPECT_TRUE(contains(workloads::lcWorkloadNames(), name))
+                    << "input '" << text << "' job " << name;
+                EXPECT_TRUE(job.load_fraction > 0.0 &&
+                            job.load_fraction <= 1.0)
+                    << "input '" << text << "' load " << job.load_fraction;
+            } else {
+                EXPECT_TRUE(contains(workloads::bgWorkloadNames(), name))
+                    << "input '" << text << "' job " << name;
+            }
+        }
     }
 }
 

@@ -5,11 +5,11 @@
  * measureStationReference (an event-driven simulation of the same
  * queue, QueueingStation on the pooled-heap Simulator,
  * reference_station.h) bit for bit — same RNG draw order, same
- * responses, same summary — across seeds, every service kind, and
- * event budgets. sim/queueing.h names this file as
- * the pin for that contract, and for the percentile selection matching
- * a full-sort stats::percentile, on small windows and on the large
- * ones summarized from their top tail only.
+ * responses, same summary — across seeds and event budgets.
+ * sim/queueing.h names this file as the pin for that contract, and for
+ * the percentile selection matching a full-sort stats::percentile, on
+ * small windows and on the large ones summarized from their top tail
+ * only.
  */
 
 #include <gtest/gtest.h>
@@ -37,18 +37,14 @@ sameBits(double a, double b)
 
 void
 expectIdentical(const TailMeasurement& fast, const TailMeasurement& ref,
-                uint64_t seed, int kind)
+                uint64_t seed)
 {
-    EXPECT_TRUE(sameBits(fast.p95, ref.p95))
-        << "p95 seed " << seed << " kind " << kind;
-    EXPECT_TRUE(sameBits(fast.p99, ref.p99))
-        << "p99 seed " << seed << " kind " << kind;
-    EXPECT_TRUE(sameBits(fast.mean, ref.mean))
-        << "mean seed " << seed << " kind " << kind;
+    EXPECT_TRUE(sameBits(fast.p95, ref.p95)) << "p95 seed " << seed;
+    EXPECT_TRUE(sameBits(fast.p99, ref.p99)) << "p99 seed " << seed;
+    EXPECT_TRUE(sameBits(fast.mean, ref.mean)) << "mean seed " << seed;
     EXPECT_TRUE(sameBits(fast.throughput, ref.throughput))
-        << "throughput seed " << seed << " kind " << kind;
-    EXPECT_EQ(fast.completed, ref.completed)
-        << "completed seed " << seed << " kind " << kind;
+        << "throughput seed " << seed;
+    EXPECT_EQ(fast.completed, ref.completed) << "completed seed " << seed;
 }
 
 /**
@@ -59,7 +55,7 @@ expectIdentical(const TailMeasurement& fast, const TailMeasurement& ref,
  * window starts with a cached normal.
  */
 void
-expectMatchesOracle(int servers, double lambda, const ServiceModel& service,
+expectMatchesOracle(int servers, double lambda, double mean_service,
                     double warmup, double window, uint64_t budget,
                     uint64_t seed, bool primed, size_t min_completed = 0)
 {
@@ -68,37 +64,34 @@ expectMatchesOracle(int servers, double lambda, const ServiceModel& service,
     if (primed) {
         ASSERT_TRUE(sameBits(rng_fast.normal(), rng_ref.normal()));
     }
-    TailMeasurement fast = measureStation(servers, lambda, service, warmup,
-                                          window, rng_fast, budget);
+    TailMeasurement fast = measureStation(servers, lambda, mean_service,
+                                          warmup, window, rng_fast, budget);
     TailMeasurement ref = measureStationReference(
-        servers, lambda, service, warmup, window, rng_ref, budget);
+        servers, lambda, mean_service, warmup, window, rng_ref, budget);
     ASSERT_GE(ref.completed, min_completed)
         << "lambda " << lambda << " budget " << budget;
-    expectIdentical(fast, ref, seed, int(service.kind));
+    expectIdentical(fast, ref, seed);
     // The RNG streams must also end in the same state: any skipped or
     // extra draw, or a dropped Box-Muller cache, desynchronizes later
     // windows even if this one happened to agree.
     for (int i = 0; i < 2; ++i)
         EXPECT_TRUE(sameBits(rng_fast.normal(), rng_ref.normal()))
-            << "normal " << i << " seed " << seed << " kind "
-            << int(service.kind) << " lambda " << lambda << " budget "
-            << budget << " primed " << primed;
+            << "normal " << i << " seed " << seed << " lambda " << lambda
+            << " budget " << budget << " primed " << primed;
     EXPECT_EQ(rng_fast.next(), rng_ref.next())
-        << "rng state seed " << seed << " kind " << int(service.kind)
-        << " lambda " << lambda << " budget " << budget << " primed "
-        << primed;
+        << "rng state seed " << seed << " lambda " << lambda << " budget "
+        << budget << " primed " << primed;
 }
 
 /**
- * Every service kind (exponential, log-normal, deterministic, bounded
- * Pareto), with and without an event budget that binds, each with and
- * without a cached normal before the window: every summary field
- * bit-identical between the fast loop and the simulator-based
- * reference, and both RNG streams left in the same state. Ten seeds of
- * a small station, and two seeds each of stations at 5 000 and 30 000
- * requests/s and the same 72% load, whose windows measure at least
- * 4096 completions, the size from which the window summary selects
- * its percentiles from the top tail only.
+ * With and without an event budget that binds, each with and without a
+ * cached normal before the window: every summary field bit-identical
+ * between the fast loop and the simulator-based reference, and both
+ * RNG streams left in the same state. Ten seeds of a small station,
+ * and two seeds each of stations at 5 000 and 30 000 requests/s and
+ * the same 72% load, whose windows measure at least 4096 completions,
+ * the size from which the window summary selects its percentiles from
+ * the top tail only.
  */
 TEST(QueueingFastPath, BitIdenticalToReferenceAcrossSeeds)
 {
@@ -115,36 +108,30 @@ TEST(QueueingFastPath, BitIdenticalToReferenceAcrossSeeds)
                                 {30000.0, 7.2e-5, 5000, 2, 4096}};
     const int servers = 3;
     const double warmup = 0.5, window = 1.5;
-    const ServiceModel::Kind kinds[] = {
-        ServiceModel::Kind::Exponential, ServiceModel::Kind::LogNormal,
-        ServiceModel::Kind::Fixed, ServiceModel::Kind::BoundedPareto};
     for (const Station& st : stations) {
         ASSERT_LT(effectiveWindow(window, st.lambda, st.binding_budget),
                   window);
-        for (ServiceModel::Kind kind : kinds) {
-            ServiceModel service{kind, st.mean_service, 0.5};
-            for (uint64_t budget : {uint64_t(0), st.binding_budget})
-                for (uint64_t seed = 1; seed <= st.seeds; ++seed)
-                    for (bool primed : {false, true})
-                        expectMatchesOracle(servers, st.lambda, service,
-                                            warmup, window, budget, seed,
-                                            primed, st.min_completed);
-        }
+        for (uint64_t budget : {uint64_t(0), st.binding_budget})
+            for (uint64_t seed = 1; seed <= st.seeds; ++seed)
+                for (bool primed : {false, true})
+                    expectMatchesOracle(servers, st.lambda, st.mean_service,
+                                        warmup, window, budget, seed, primed,
+                                        st.min_completed);
     }
 }
 
 /** The identity holds under an event budget (shortened window) too. */
 TEST(QueueingFastPath, BitIdenticalToReferenceUnderBudget)
 {
-    const ServiceModel service{ServiceModel::Kind::LogNormal, 0.005, 0.5};
+    const double mean_service = 0.005;
     for (uint64_t seed = 1; seed <= 5; ++seed) {
         Rng rng_fast(seed);
         Rng rng_ref(seed);
-        TailMeasurement fast = measureStation(2, 300.0, service, 0.5, 2.0,
-                                              rng_fast, 128);
+        TailMeasurement fast = measureStation(2, 300.0, mean_service, 0.5,
+                                              2.0, rng_fast, 128);
         TailMeasurement ref = measureStationReference(
-            2, 300.0, service, 0.5, 2.0, rng_ref, 128);
-        expectIdentical(fast, ref, seed, int(service.kind));
+            2, 300.0, mean_service, 0.5, 2.0, rng_ref, 128);
+        expectIdentical(fast, ref, seed);
     }
 }
 
@@ -166,24 +153,19 @@ TEST(QueueingFastPath, SelectedPercentilesMatchFullSort)
          {Station{180.0, 0.012, 0}, Station{30000.0, 7.2e-5, 4096}}) {
         for (uint64_t seed = 1; seed <= 5; ++seed) {
             const int servers = 3;
-            const double lambda = station.lambda, sigma = 0.5;
+            const double lambda = station.lambda;
             const double mean_service = station.mean_service;
             const double warmup = 0.5, window = 1.5;
 
             Rng rng_fast(seed);
             TailMeasurement fast = measureStation(
-                servers, lambda,
-                {ServiceModel::Kind::LogNormal, mean_service, sigma}, warmup,
-                window, rng_fast);
+                servers, lambda, mean_service, warmup, window, rng_fast);
 
             // Re-run the same measurement through the raw station to
             // harvest the measured window's response times.
             Rng rng_raw(seed);
             Simulator sim;
-            QueueingStation st(
-                sim, servers, lambda,
-                [&](Rng& r) { return r.logNormalMean(mean_service, sigma); },
-                rng_raw);
+            QueueingStation st(sim, servers, lambda, mean_service, rng_raw);
             st.start();
             sim.runUntil(warmup);
             st.resetMeasurements();

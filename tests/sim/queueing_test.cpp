@@ -19,17 +19,10 @@ namespace clite {
 namespace sim {
 namespace {
 
-/** Exponential service with mean @p mean_service (the M/M/c case). */
-ServiceModel
-exponential(double mean_service)
-{
-    return {ServiceModel::Kind::Exponential, mean_service};
-}
-
 TEST(QueueingStation, NoArrivalsNoCompletions)
 {
     Rng rng(3);
-    TailMeasurement m = measureStation(2, 0.0, exponential(0.01), 0.5, 2.0, rng);
+    TailMeasurement m = measureStation(2, 0.0, 0.01, 0.5, 2.0, rng);
     EXPECT_EQ(m.completed, 0u);
     EXPECT_DOUBLE_EQ(m.throughput, 0.0);
 }
@@ -38,18 +31,8 @@ TEST(QueueingStation, ThroughputMatchesOfferedLoadWhenStable)
 {
     Rng rng(5);
     // lambda = 200/s, capacity = 4 / 0.01 = 400/s.
-    TailMeasurement m = measureStation(4, 200.0, exponential(0.01), 2.0,
-                                       20.0, rng);
+    TailMeasurement m = measureStation(4, 200.0, 0.01, 2.0, 20.0, rng);
     EXPECT_NEAR(m.throughput, 200.0, 12.0);
-}
-
-TEST(QueueingStation, DeterministicServiceLowLoadLatencyIsService)
-{
-    Rng rng(7);
-    TailMeasurement m = measureStation(
-        8, 10.0, {ServiceModel::Kind::Fixed, 0.02}, 1.0, 10.0, rng);
-    // Almost no queueing at 2.5% utilization; all responses ~ 20ms.
-    EXPECT_NEAR(m.p95, 0.02, 0.002);
 }
 
 struct MmcCase
@@ -71,8 +54,8 @@ TEST_P(DesVsAnalytic, P95WithinTolerance)
     const double lambda = c.rho * c.servers * mu;
     Rng rng(uint64_t(c.servers) * 100 + uint64_t(c.rho * 100));
     // Long window so the empirical percentile is tight.
-    TailMeasurement m = measureStation(c.servers, lambda, exponential(1.0 / mu),
-                                       5.0, 60.0, rng);
+    TailMeasurement m =
+        measureStation(c.servers, lambda, 1.0 / mu, 5.0, 60.0, rng);
     double expect = stats::mmcResponseQuantile(c.servers, lambda, mu, 0.95);
     EXPECT_NEAR(m.p95, expect, 0.15 * expect)
         << "c=" << c.servers << " rho=" << c.rho;
@@ -97,9 +80,7 @@ TEST_P(DesVsAnalytic, SeedAveragedP95WithinStandardErrors)
     for (int s = 1; s <= seeds; ++s) {
         Rng rng(uint64_t(c.servers) * 100 + uint64_t(c.rho * 100) +
                 1000 * uint64_t(s));
-        sum += measureStation(c.servers, lambda, exponential(1.0 / mu), 5.0,
-                              60.0, rng)
-                   .p95;
+        sum += measureStation(c.servers, lambda, 1.0 / mu, 5.0, 60.0, rng).p95;
     }
     double expect = stats::mmcResponseQuantile(c.servers, lambda, mu, 0.95);
     EXPECT_NEAR(sum / seeds, expect, c.mean_tol * expect)
@@ -115,10 +96,9 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(QueueingStation, OverloadGrowsLatency)
 {
     Rng rng(11);
-    TailMeasurement stable = measureStation(2, 100.0, exponential(0.01), 1.0,
-                                            10.0, rng);
-    TailMeasurement overloaded = measureStation(2, 400.0, exponential(0.01),
-                                                1.0, 10.0, rng);
+    TailMeasurement stable = measureStation(2, 100.0, 0.01, 1.0, 10.0, rng);
+    TailMeasurement overloaded =
+        measureStation(2, 400.0, 0.01, 1.0, 10.0, rng);
     EXPECT_GT(overloaded.p95, 5.0 * stable.p95);
 }
 
@@ -126,9 +106,7 @@ TEST(QueueingStation, ResetMeasurementsDiscardsWarmup)
 {
     Rng rng(13);
     Simulator simulator;
-    QueueingStation st(
-        simulator, 1, 50.0, [](Rng& r) { return r.exponential(100.0); },
-        rng);
+    QueueingStation st(simulator, 1, 50.0, 0.01, rng);
     st.start();
     simulator.runUntil(1.0);
     size_t before = st.completedCount();
@@ -143,16 +121,10 @@ TEST(QueueingStation, Validation)
 {
     Rng rng(17);
     Simulator simulator;
-    EXPECT_THROW(QueueingStation(simulator, 0, 1.0,
-                                 [](Rng&) { return 0.1; }, rng),
-                 Error);
-    EXPECT_THROW(QueueingStation(simulator, 1, -1.0,
-                                 [](Rng&) { return 0.1; }, rng),
-                 Error);
-    EXPECT_THROW(measureStation(1, 1.0, exponential(0.0), 0.0, 1.0, rng),
-                 Error);
-    EXPECT_THROW(measureStation(1, 1.0, exponential(0.1), 0.0, 0.0, rng),
-                 Error);
+    EXPECT_THROW(QueueingStation(simulator, 0, 1.0, 0.1, rng), Error);
+    EXPECT_THROW(QueueingStation(simulator, 1, -1.0, 0.1, rng), Error);
+    EXPECT_THROW(measureStation(1, 1.0, 0.0, 0.0, 1.0, rng), Error);
+    EXPECT_THROW(measureStation(1, 1.0, 0.1, 0.0, 0.0, rng), Error);
 }
 
 } // namespace

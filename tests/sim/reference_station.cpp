@@ -1,29 +1,26 @@
 #include "reference_station.h"
 
 #include <algorithm>
-#include <cmath>
 #include <numeric>
-#include <utility>
 
 #include "common/error.h"
-#include "stats/distributions.h"
 #include "stats/summary.h"
 
 namespace clite {
 namespace sim {
 
 QueueingStation::QueueingStation(Simulator& simulator, int servers,
-                                 double arrival_rate, ServiceSampler sampler,
+                                 double arrival_rate, double mean_service,
                                  Rng& rng)
     : sim_(simulator),
       servers_(servers),
       arrival_rate_(arrival_rate),
-      sampler_(std::move(sampler)),
+      mean_service_(mean_service),
       rng_(rng)
 {
     CLITE_CHECK(servers_ >= 1, "station needs >= 1 server, got " << servers_);
     CLITE_CHECK(arrival_rate_ >= 0.0, "arrival rate must be >= 0");
-    CLITE_CHECK(sampler_ != nullptr, "station needs a service sampler");
+    CLITE_CHECK(mean_service_ > 0.0, "mean service time must be > 0");
 }
 
 void
@@ -62,8 +59,8 @@ QueueingStation::onArrival()
     // The request's own service time first, then the gap to the next
     // arrival (renewal process): one gap and one service per request,
     // in arrival order.
-    Request request{arrivals_++, sim_.now(), sampler_(rng_)};
-    CLITE_ASSERT(request.service >= 0.0, "negative service time sampled");
+    Request request{arrivals_++, sim_.now(),
+                    rng_.exponential(1.0 / mean_service_)};
     sim_.schedule(rng_.exponential(arrival_rate_), [this] { onArrival(); });
 
     if (busy_ < servers_)
@@ -93,54 +90,17 @@ QueueingStation::onDeparture(const Request& request)
     }
 }
 
-namespace {
-
-QueueingStation::ServiceSampler
-samplerFor(const ServiceModel& service)
-{
-    const double mean = service.mean_service;
-    switch (service.kind) {
-    case ServiceModel::Kind::Exponential:
-        return [mean](Rng& r) { return r.exponential(1.0 / mean); };
-    case ServiceModel::Kind::LogNormal: {
-        const double sigma = service.sigma;
-        return [mean, sigma](Rng& r) { return r.logNormalMean(mean, sigma); };
-    }
-    case ServiceModel::Kind::Fixed:
-        return [mean](Rng&) { return mean; };
-    case ServiceModel::Kind::BoundedPareto: {
-        // Inverse CDF x = L * (1 - u * (1 - (H/L)^-alpha))^(-1/alpha),
-        // one uniform draw per request.
-        const double alpha = service.pareto_alpha;
-        const double lower = stats::boundedParetoLowerForMean(
-            mean, alpha, service.pareto_tail_ratio);
-        const double ratio_term =
-            1.0 - std::pow(service.pareto_tail_ratio, -alpha);
-        const double neg_inv_alpha = -1.0 / alpha;
-        return [lower, ratio_term, neg_inv_alpha](Rng& r) {
-            return lower *
-                   std::pow(1.0 - r.uniform() * ratio_term, neg_inv_alpha);
-        };
-    }
-    }
-    CLITE_THROW("unknown service kind");
-}
-
-} // namespace
-
 TailMeasurement
 measureStationReference(int servers, double arrival_rate,
-                        const ServiceModel& service, double warmup,
-                        double window, Rng& rng, uint64_t event_budget)
+                        double mean_service, double warmup, double window,
+                        Rng& rng, uint64_t event_budget)
 {
-    CLITE_CHECK(service.mean_service > 0.0,
-                "mean service time must be > 0");
     CLITE_CHECK(window > 0.0, "measurement window must be > 0");
 
     const double span = effectiveWindow(window, arrival_rate, event_budget);
     Simulator simulator;
-    QueueingStation station(simulator, servers, arrival_rate,
-                            samplerFor(service), rng);
+    QueueingStation station(simulator, servers, arrival_rate, mean_service,
+                            rng);
     station.start();
     simulator.runUntil(warmup);
     station.resetMeasurements();

@@ -20,7 +20,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <vector>
 
 #include "common/rng.h"
@@ -31,24 +30,22 @@ namespace clite {
 namespace sim {
 
 /**
- * A c-server FIFO queueing station driven by Poisson arrivals.
+ * A c-server FIFO queueing station driven by Poisson arrivals, with
+ * exponential service (M/M/c).
  */
 class QueueingStation
 {
   public:
-    /** Sampler for one request's service time (seconds). */
-    using ServiceSampler = std::function<double(Rng&)>;
-
     /**
      * @param simulator Event core; must outlive the station.
      * @param servers Number of servers c (>= 1).
      * @param arrival_rate Poisson arrival rate λ in requests/second
      *     (0 disables arrivals).
-     * @param sampler Service-time sampler.
+     * @param mean_service Mean service time in seconds (> 0).
      * @param rng Randomness; must outlive the station.
      */
     QueueingStation(Simulator& simulator, int servers, double arrival_rate,
-                    ServiceSampler sampler, Rng& rng);
+                    double mean_service, Rng& rng);
 
     /** Begin generating arrivals (schedules the first arrival). */
     void start();
@@ -97,7 +94,7 @@ class QueueingStation
     Simulator& sim_;
     int servers_;
     double arrival_rate_;
-    ServiceSampler sampler_;
+    double mean_service_;
     Rng& rng_;
 
     int busy_ = 0;
@@ -109,15 +106,13 @@ class QueueingStation
 
 /**
  * sim::measureStation through QueueingStation on the generic Simulator
- * — same parameters, same result, bit for bit. The service sampler is
- * the textbook draw for each kind (Rng::logNormalMean, Rng::exponential,
- * the bounded-Pareto inverse CDF); percentiles come from a full-sort
- * stats::percentile, and the mean is summed in arrival order.
+ * — same parameters, same result, bit for bit. Percentiles come from
+ * a full-sort stats::percentile, and the mean is summed in arrival
+ * order.
  */
 TailMeasurement measureStationReference(int servers, double arrival_rate,
-                                        const ServiceModel& service,
-                                        double warmup, double window,
-                                        Rng& rng,
+                                        double mean_service, double warmup,
+                                        double window, Rng& rng,
                                         uint64_t event_budget = 0);
 
 } // namespace sim

@@ -2,16 +2,19 @@
  * @file
  * Property tests for the traffic subsystem (workloads/traffic): every
  * generator must be seed-reproducible, evaluation-order independent,
- * and bounded in (0, 1]; CSV replay must round-trip bit-exactly; the
- * trace/profile helpers must stamp the identities the signature layer
- * hashes.
+ * and bounded in (0, 1]; CSV replay must round-trip bit-exactly and
+ * either reject or replay validly every fuzzed input; the trace/profile
+ * helpers must stamp the identities the signature layer hashes.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <memory>
+#include <optional>
+#include <string>
 #include <vector>
 
 #include "common/error.h"
@@ -30,6 +33,29 @@ sample(const LoadTrace& trace, double horizon = 240.0, double step = 0.7)
     std::vector<double> out;
     for (double t = 0.0; t < horizon; t += step)
         out.push_back(trace.loadAt(t));
+    return out;
+}
+
+/**
+ * Text-parser fuzz inputs from one valid input: every truncation, then
+ * every substitution of one byte from the bytes numbers, separators and
+ * comments are made of ('n' and 'i' start "nan" and "inf", and NUL
+ * ends a C string early).
+ */
+std::vector<std::string>
+textMutations(const std::string& valid)
+{
+    const std::string alphabet =
+        std::string("0123456789.,-+e@%# \nni") + '\0';
+    std::vector<std::string> out;
+    for (size_t len = 0; len < valid.size(); ++len)
+        out.push_back(valid.substr(0, len));
+    for (size_t i = 0; i < valid.size(); ++i)
+        for (char c : alphabet)
+            if (c != valid[i]) {
+                out.push_back(valid);
+                out.back()[i] = c;
+            }
     return out;
 }
 
@@ -243,6 +269,12 @@ TEST(CsvReplayTrace, InterpolatesAndHoldsEnds)
     EXPECT_DOUBLE_EQ(trace.loadAt(15.0), 0.35);
     EXPECT_DOUBLE_EQ(trace.loadAt(99.0), 0.3); // held after last
     EXPECT_EQ(trace.name(), "csv-replay");
+
+    // Just below a sample far from the origin, the interpolation
+    // fraction rounds to 1; the load is the sample's, not 1 - 1 = 0.
+    CsvReplayTrace far({{-1e20, 1.0}, {1e20, 1e-300}});
+    EXPECT_EQ(far.loadAt(std::nextafter(1e20, 0.0)), 1e-300);
+    EXPECT_THROW(trace.loadAt(std::nan("")), Error);
 }
 
 TEST(CsvReplayTrace, RoundTripsBitExactly)
@@ -295,6 +327,56 @@ TEST(CsvReplayTrace, Validation)
         EXPECT_NE(msg.find("sample 2"), std::string::npos);
         EXPECT_NE(msg.find("sample 1"), std::string::npos);
     }
+    // sscanf's %lf parses nan and inf; a sample time must be finite.
+    EXPECT_THROW(CsvReplayTrace::fromCsvString("nan,0.5\n"), Error);
+    EXPECT_THROW(CsvReplayTrace::fromCsvString("-inf,0.5\n10,0.7\n"),
+                 Error);
+    EXPECT_THROW(CsvReplayTrace::fromCsvString("0,0.5\n+inf,0.7\n"),
+                 Error);
+    EXPECT_THROW(
+        CsvReplayTrace({{0.0, 0.5},
+                        {std::numeric_limits<double>::infinity(), 0.7}}),
+        Error);
+    // Finite times whose gap overflows would interpolate to NaN.
+    EXPECT_THROW(CsvReplayTrace({{-1.5e308, 0.5}, {1.5e308, 0.7}}), Error);
+    // A NUL would end the line early for sscanf.
+    EXPECT_THROW(
+        CsvReplayTrace::fromCsvString(std::string("0,0.5\0junk\n", 11)),
+        Error);
+}
+
+/**
+ * Every fuzzed CSV trace either throws clite::Error or replays a finite
+ * load in (0, 1] on a grid around its samples, at every sample time
+ * and between every pair of samples.
+ */
+TEST(CsvReplayTrace, FuzzedInputThrowsOrReplaysValidLoads)
+{
+    const std::string valid =
+        "# t_seconds,load\n0,0.25\n15,0.5\n30.5,1\n45,1e-1\n";
+    ASSERT_NO_THROW(CsvReplayTrace::fromCsvString(valid));
+    for (const std::string& text : textMutations(valid)) {
+        std::optional<CsvReplayTrace> trace;
+        try {
+            trace.emplace(CsvReplayTrace::fromCsvString(text));
+        } catch (const Error&) {
+            continue;
+        }
+        std::vector<double> times;
+        for (double t = -10.0; t <= 100.0; t += 0.25)
+            times.push_back(t);
+        const std::vector<CsvReplayTrace::Sample>& s = trace->samples();
+        for (size_t i = 0; i < s.size(); ++i) {
+            times.push_back(s[i].t_seconds);
+            if (i > 0)
+                times.push_back(0.5 * (s[i - 1].t_seconds + s[i].t_seconds));
+        }
+        for (double t : times) {
+            const double load = trace->loadAt(t);
+            ASSERT_TRUE(std::isfinite(load) && load > 0.0 && load <= 1.0)
+                << "input '" << text << "' t " << t << " load " << load;
+        }
+    }
 }
 
 TEST(TraceMeanLoad, MatchesConstantAndSine)
@@ -319,18 +401,6 @@ TEST(WithTrace, StampsIdentity)
     EXPECT_EQ(traced.trace_kind, "jittered-diurnal");
     EXPECT_GT(traced.trace_mean_load, 0.0);
     EXPECT_DOUBLE_EQ(traced.load_fraction, traced.trace_mean_load);
-}
-
-TEST(HeavyTailed, SwitchesTheServiceDistribution)
-{
-    JobSpec spec;
-    JobSpec heavy = heavyTailed(spec, 1.3, 50.0);
-    EXPECT_EQ(heavy.profile.service_distribution,
-              ServiceDistribution::BoundedPareto);
-    EXPECT_DOUBLE_EQ(heavy.profile.pareto_alpha, 1.3);
-    EXPECT_DOUBLE_EQ(heavy.profile.pareto_tail_ratio, 50.0);
-    EXPECT_THROW(heavyTailed(spec, 1.0, 50.0), Error);
-    EXPECT_THROW(heavyTailed(spec, 1.5, 1.0), Error);
 }
 
 TEST(TrafficTraces, ThreadCountDoesNotChangeValues)
