@@ -43,7 +43,10 @@ baseline's. `--mode traffic` compares two bench/fig_traffic emissions
 (BENCH_traffic.json): on the flash-crowd trace the transient-riding
 policy must keep avoiding at least 50% of the naive arm's
 re-optimizations while its violating-window fraction rises by at most
-two points.
+two points, and on every baseline shape (jittered-diurnal,
+flash-crowd, composite) each arm's QoS-met fraction may fall, and its
+violating fraction rise, by at most two points against the baseline;
+a baseline shape missing from the candidate fails too.
 
 Matches benchmarks by name, prints a ratio table (candidate / baseline
 real time), and emits a warning for every benchmark in the watched
@@ -209,8 +212,46 @@ TRAFFIC_REOPT_REDUCTION_FLOOR = 0.50
 
 # Largest tolerated increase in the violating-window fraction the
 # riding policy may pay for those avoided searches (absolute, on a
-# [0, 1] fraction — 0.02 = two points).
+# [0, 1] fraction — 0.02 = two points). The per-shape check uses the
+# same two points for each arm's drift against the baseline.
 TRAFFIC_VIOLATING_INCREASE_TOLERANCE = 0.02
+
+
+def traffic_shape_problems(base, cand):
+    """Per-shape, per-arm QoS drift of a candidate against the baseline.
+
+    Each arm's qos_met_fraction may not fall, and its
+    violating_fraction may not rise, by more than
+    TRAFFIC_VIOLATING_INCREASE_TOLERANCE; every baseline shape must be
+    present in the candidate.
+    """
+    tol = TRAFFIC_VIOLATING_INCREASE_TOLERANCE
+    cand_shapes = {s.get("shape"): s for s in cand.get("shapes", [])}
+    problems = []
+    print(f"\n{'shape':<18}  {'arm':<7}  {'qos_met':>17}  "
+          f"{'violating':>17}")
+    for b in base.get("shapes", []):
+        name = b.get("shape")
+        c = cand_shapes.get(name)
+        if c is None:
+            problems.append(f"shape {name} is missing from the candidate")
+            continue
+        for arm in ("naive", "riding"):
+            qb = b.get(f"{arm}_qos_met_fraction", 0.0)
+            qc = c.get(f"{arm}_qos_met_fraction", 0.0)
+            vb = b.get(f"{arm}_violating_fraction", 0.0)
+            vc = c.get(f"{arm}_violating_fraction", 1.0)
+            print(f"{name:<18}  {arm:<7}  {qb:>7.4f} -> {qc:<7.4f}  "
+                  f"{vb:>7.4f} -> {vc:<7.4f}")
+            if qc < qb - tol:
+                problems.append(
+                    f"{name} {arm} arm's QoS-met fraction fell "
+                    f"{qb:.4f} -> {qc:.4f} (> {tol} tolerance)")
+            if vc > vb + tol:
+                problems.append(
+                    f"{name} {arm} arm's violating fraction rose "
+                    f"{vb:.4f} -> {vc:.4f} (> {tol} tolerance)")
+    return problems
 
 
 def compare_traffic(args):
@@ -251,6 +292,7 @@ def compare_traffic(args):
     if flash.get("transients_ridden_mean", 0.0) <= 0.0:
         problems.append("riding arm rode zero transients: the "
                         "RideTransients hysteresis looks disabled")
+    problems += traffic_shape_problems(base, cand)
 
     for p in problems:
         print(f"::warning::traffic regression: {p}")

@@ -59,37 +59,37 @@ main(int argc, char** argv)
     bool all_resources = false;
     bool des = false;
 
-    for (int i = 1; i < argc; ++i) {
-        std::string arg = argv[i];
-        auto next = [&]() -> std::string {
-            if (i + 1 >= argc) {
-                std::cerr << "missing value for " << arg << "\n";
-                std::exit(2);
-            }
-            return argv[++i];
-        };
-        if (arg == "--scheme")
-            scheme = next();
-        else if (arg == "--mix")
-            mix = next();
-        else if (arg == "--seed")
-            seed = std::stoull(next());
-        else if (arg == "--noise")
-            noise = std::stod(next());
-        else if (arg == "--all-resources")
-            all_resources = true;
-        else if (arg == "--des")
-            des = true;
-        else if (arg == "--list") {
-            printCatalog();
-            return 0;
-        } else {
-            std::cerr << "unknown argument: " << arg << "\n";
-            return 2;
-        }
-    }
-
     try {
+        for (int i = 1; i < argc; ++i) {
+            std::string arg = argv[i];
+            auto next = [&]() -> std::string {
+                if (i + 1 >= argc) {
+                    std::cerr << "missing value for " << arg << "\n";
+                    std::exit(2);
+                }
+                return argv[++i];
+            };
+            if (arg == "--scheme")
+                scheme = next();
+            else if (arg == "--mix")
+                mix = next();
+            else if (arg == "--seed")
+                seed = harness::parseSeed(next());
+            else if (arg == "--noise")
+                noise = harness::parseNoiseSigma(next());
+            else if (arg == "--all-resources")
+                all_resources = true;
+            else if (arg == "--des")
+                des = true;
+            else if (arg == "--list") {
+                printCatalog();
+                return 0;
+            } else {
+                std::cerr << "unknown argument: " << arg << "\n";
+                return 2;
+            }
+        }
+
         harness::ServerSpec spec;
         spec.jobs = harness::parseMix(mix);
         spec.seed = seed;

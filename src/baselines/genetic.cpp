@@ -11,6 +11,13 @@ namespace baselines {
 
 namespace {
 
+/// Offspring evaluated per generation.
+constexpr int kChildrenPerGen = 4;
+/// Probability a child is mutated.
+constexpr double kMutationProb = 0.6;
+/// Unit moves per mutation.
+constexpr int kMutationMoves = 2;
+
 /** Uniformly random valid allocation. */
 platform::Allocation
 randomAllocation(size_t njobs, const platform::ServerConfig& config,
@@ -35,8 +42,6 @@ GeneticController::GeneticController(GeneticOptions options)
     CLITE_CHECK(options_.population >= 2, "GENETIC needs population >= 2");
     CLITE_CHECK(options_.budget >= options_.population,
                 "GENETIC budget must cover the initial population");
-    CLITE_CHECK(options_.children_per_gen >= 1,
-                "GENETIC needs >= 1 child per generation");
 }
 
 core::ControllerResult
@@ -68,8 +73,8 @@ GeneticController::run(platform::SimulatedServer& server)
             }
         }
 
-        int kids = std::min(options_.children_per_gen,
-                            options_.budget - int(trace.size()));
+        int kids =
+            std::min(kChildrenPerGen, options_.budget - int(trace.size()));
         for (int k = 0; k < kids; ++k) {
             // Crossover: inherit each resource's whole partition row
             // from one parent (keeps per-resource sums valid).
@@ -81,8 +86,8 @@ GeneticController::run(platform::SimulatedServer& server)
                     child.set(j, r, src.get(j, r));
             }
             // Mutation: move units of random resources between jobs.
-            if (rng.bernoulli(options_.mutation_prob)) {
-                for (int m = 0; m < options_.mutation_moves; ++m) {
+            if (rng.bernoulli(kMutationProb)) {
+                for (int m = 0; m < kMutationMoves; ++m) {
                     size_t r = size_t(rng.uniformInt(0, int64_t(nres) - 1));
                     size_t from =
                         size_t(rng.uniformInt(0, int64_t(njobs) - 1));

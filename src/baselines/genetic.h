@@ -23,12 +23,9 @@ namespace baselines {
 /** GENETIC tuning knobs. */
 struct GeneticOptions
 {
-    int budget = 50;        ///< Total configurations to evaluate.
-    int population = 8;     ///< Initial random population size.
-    int children_per_gen = 4; ///< Offspring evaluated per generation.
-    double mutation_prob = 0.6; ///< Probability a child is mutated.
-    int mutation_moves = 2; ///< Unit moves per mutation.
-    uint64_t seed = 17;     ///< RNG seed.
+    int budget = 50;    ///< Total configurations to evaluate.
+    int population = 8; ///< Initial random population size.
+    uint64_t seed = 17; ///< RNG seed.
 };
 
 /**

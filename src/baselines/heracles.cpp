@@ -5,6 +5,9 @@
 namespace clite {
 namespace baselines {
 
+/// Quiet rounds before declaring done.
+constexpr int kStableRounds = 2;
+
 HeraclesController::HeraclesController(HeraclesOptions options)
     : options_(options)
 {
@@ -34,7 +37,7 @@ HeraclesController::run(platform::SimulatedServer& server)
         const auto& pob = obs[primary];
         if (pob.qosMet()) {
             // Primary satisfied; Heracles holds the partition.
-            if (++quiet >= options_.stable_rounds)
+            if (++quiet >= kStableRounds)
                 break;
             continue;
         }

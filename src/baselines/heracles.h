@@ -21,8 +21,7 @@ namespace baselines {
 /** Heracles tuning knobs. */
 struct HeraclesOptions
 {
-    int max_samples = 60;  ///< Adjustment budget.
-    int stable_rounds = 2; ///< Quiet rounds before declaring done.
+    int max_samples = 60; ///< Adjustment budget.
 };
 
 /**

@@ -1,6 +1,6 @@
 #include "baselines/oracle.h"
 
-#include <cmath>
+#include <algorithm>
 #include <functional>
 
 #include "common/error.h"
@@ -14,100 +14,14 @@ namespace {
 /**
  * Per-job score ingredients for one units tuple, precomputed so the
  * exhaustive enumeration costs a table lookup per job instead of a
- * model evaluation. Valid because a job's performance under
- * partitioning-enforced isolation depends only on its own allocation,
- * and the oracle view is the deterministic noise-free model.
+ * model evaluation. Valid because a job's reference depends only on its
+ * own allocation (partitioning-enforced isolation).
  */
 struct JobCell
 {
     double qos_ratio = 1.0;  ///< min(1, target/p95)   (LC)
     double perf_norm = 1.0;  ///< min(1, perf/iso)     (LC & BG)
     bool qos_met = true;     ///< LC only; BG always true.
-};
-
-/** Per-job lookup table over every feasible units tuple. */
-class JobTable
-{
-  public:
-    JobTable(const platform::SimulatedServer& server, size_t job,
-             size_t njobs)
-        : config_(server.config())
-    {
-        const size_t nres = config_.resourceCount();
-        extents_.resize(nres);
-        strides_.resize(nres);
-        size_t total = 1;
-        for (size_t r = 0; r < nres; ++r) {
-            extents_[r] = config_.resource(r).units - int(njobs) + 1;
-            strides_[r] = total;
-            total *= size_t(extents_[r]);
-        }
-        cells_.resize(total);
-
-        // Probe the model through a one-off allocation per tuple by
-        // reusing the server's noise-free observer on a scratch
-        // allocation where the other jobs absorb the remaining units.
-        std::vector<int> units(nres, 1);
-        fillRec(server, job, njobs, units, 0);
-    }
-
-    const JobCell&
-    cell(const platform::Allocation& alloc, size_t job) const
-    {
-        size_t idx = 0;
-        for (size_t r = 0; r < strides_.size(); ++r)
-            idx += strides_[r] * size_t(alloc.get(job, r) - 1);
-        return cells_[idx];
-    }
-
-  private:
-    void
-    fillRec(const platform::SimulatedServer& server, size_t job,
-            size_t njobs, std::vector<int>& units, size_t r)
-    {
-        const size_t nres = config_.resourceCount();
-        if (r == nres) {
-            // Build a scratch allocation: this job gets `units`, the
-            // remainder is spread validly across the other jobs.
-            platform::Allocation scratch(njobs, config_);
-            for (size_t rr = 0; rr < nres; ++rr) {
-                int rest = config_.resource(rr).units - units[rr];
-                int others = int(njobs) - 1;
-                for (size_t j = 0, k = 0; j < njobs; ++j) {
-                    if (j == job) {
-                        scratch.set(j, rr, units[rr]);
-                    } else {
-                        int share = rest / others +
-                                    (int(k) < rest % others ? 1 : 0);
-                        scratch.set(j, rr, share);
-                        ++k;
-                    }
-                }
-            }
-            scratch.validate();
-            std::vector<platform::JobObservation> obs =
-                server.observeNoiseless(scratch);
-            const platform::JobObservation& ob = obs[job];
-
-            size_t idx = 0;
-            for (size_t rr = 0; rr < nres; ++rr)
-                idx += strides_[rr] * size_t(units[rr] - 1);
-            JobCell& c = cells_[idx];
-            c.qos_met = ob.qosMet();
-            c.perf_norm = ob.perfNorm();
-            c.qos_ratio = std::clamp(ob.qosRatio(), 1e-6, 1.0);
-            return;
-        }
-        for (int u = 1; u <= extents_[r]; ++u) {
-            units[r] = u;
-            fillRec(server, job, njobs, units, r + 1);
-        }
-    }
-
-    const platform::ServerConfig& config_;
-    std::vector<int> extents_;
-    std::vector<size_t> strides_;
-    std::vector<JobCell> cells_;
 };
 
 } // namespace
@@ -130,13 +44,30 @@ OracleController::run(platform::SimulatedServer& server)
                     << " configurations, above the cap of "
                     << options_.max_configurations);
 
-    // Precompute per-job score ingredients.
-    std::vector<JobTable> tables;
-    tables.reserve(njobs);
+    // Per-job score ingredients for every feasible units tuple: a
+    // job's cell is sum_r strides[r] * (units_r - 1), with units_r in
+    // [1, units(r) - njobs + 1].
+    std::vector<size_t> extents(nres), strides(nres);
+    size_t cells = 1;
+    for (size_t r = 0; r < nres; ++r) {
+        extents[r] = size_t(config.resource(r).units) - njobs + 1;
+        strides[r] = cells;
+        cells *= extents[r];
+    }
+    std::vector<std::vector<JobCell>> tables(njobs,
+                                             std::vector<JobCell>(cells));
+    std::vector<int> units(nres);
+    for (size_t idx = 0; idx < cells; ++idx) {
+        for (size_t r = 0; r < nres; ++r)
+            units[r] = int(idx / strides[r] % extents[r]) + 1;
+        for (size_t j = 0; j < njobs; ++j) {
+            const platform::JobObservation ob = server.reference(j, units);
+            tables[j][idx] = {std::clamp(ob.qosRatio(), 1e-6, 1.0),
+                              ob.perfNorm(), ob.qosMet()};
+        }
+    }
     std::vector<size_t> lc_jobs = server.lcJobs();
     std::vector<size_t> bg_jobs = server.bgJobs();
-    for (size_t j = 0; j < njobs; ++j)
-        tables.emplace_back(server, j, njobs);
     // Mode 2 averages BG performance, or LC performance when no BG
     // jobs are co-located (N_BG -> N_LC).
     const std::vector<size_t>& perf_jobs =
@@ -147,12 +78,18 @@ OracleController::run(platform::SimulatedServer& server)
     double best_score = -1.0;
     uint64_t enumerated = 0;
 
+    auto cell = [&](size_t j) -> const JobCell& {
+        size_t idx = 0;
+        for (size_t r = 0; r < nres; ++r)
+            idx += strides[r] * size_t(current.get(j, r) - 1);
+        return tables[j][idx];
+    };
     auto score_current = [&]() {
         // Mirrors core::scoreObservations (Eq. 3, arithmetic means).
         bool met = true;
         double ratio_sum = 0.0;
         for (size_t j : lc_jobs) {
-            const JobCell& c = tables[j].cell(current, j);
+            const JobCell& c = cell(j);
             met = met && c.qos_met;
             ratio_sum += c.qos_ratio;
         }
@@ -164,7 +101,7 @@ OracleController::run(platform::SimulatedServer& server)
         }
         double perf_sum = 0.0;
         for (size_t j : perf_jobs)
-            perf_sum += tables[j].cell(current, j).perf_norm;
+            perf_sum += cell(j).perf_norm;
         double m = perf_jobs.empty()
                        ? 1.0
                        : perf_sum / double(perf_jobs.size());
@@ -196,7 +133,7 @@ OracleController::run(platform::SimulatedServer& server)
                  "enumerated " << enumerated << " of " << space
                                << " configurations");
 
-    // Re-observe the winner through the full path for the trace.
+    // The winner's full ground-truth view for the trace.
     std::vector<platform::JobObservation> best_obs =
         server.observeNoiseless(best);
     core::ScoreBreakdown sb = core::scoreObservations(best_obs);

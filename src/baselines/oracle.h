@@ -3,11 +3,14 @@
  * ORACLE brute-force policy (Sec. 5.1).
  *
  * Enumerates every valid resource-partition configuration (the full
- * N_conf product of per-resource compositions), scores each with the
- * noise-free model, and returns the global optimum of Eq. 3. As in the
- * paper this is an offline yardstick — it samples thousands to millions
- * of configurations and is infeasible online — used to normalize every
- * other policy's result quality.
+ * N_conf product of per-resource compositions), scores each against
+ * ground truth, and returns the global optimum of Eq. 3. Ground truth
+ * is every job's noise-free reference (SimulatedServer::reference()):
+ * the stationary closed form normalized by the job's measured
+ * isolation profile, on either backend, so the sweep never simulates.
+ * As in the paper this is an offline yardstick — it samples thousands
+ * to millions of configurations and is infeasible online — used to
+ * normalize every other policy's result quality.
  */
 
 #ifndef CLITE_BASELINES_ORACLE_H

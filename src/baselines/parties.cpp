@@ -11,6 +11,15 @@ namespace baselines {
 
 namespace {
 
+/// Slack below this is a QoS violation.
+constexpr double kUpThreshold = 0.0;
+/// Slack above this donates resources.
+constexpr double kDownThreshold = 0.3;
+/// Relative latency improvement required to keep trying a resource.
+constexpr double kImproveEpsilon = 0.02;
+/// Quiet rounds before declaring done.
+constexpr int kStableRounds = 3;
+
 /** QoS slack of one observation: (target - p95)/target; BG = +inf. */
 double
 slack(const platform::JobObservation& ob)
@@ -63,7 +72,7 @@ PartiesController::run(platform::SimulatedServer& server)
             double before = last_p95[size_t(last_upsized)];
             double after = obs[size_t(last_upsized)].p95_ms;
             if (before > 0.0 &&
-                after > before * (1.0 - options_.improve_epsilon))
+                after > before * (1.0 - kImproveEpsilon))
                 fsm[size_t(last_upsized)] =
                     (fsm[size_t(last_upsized)] + 1) % nres;
         }
@@ -78,9 +87,9 @@ PartiesController::run(platform::SimulatedServer& server)
                 last_p95[j] = obs[j].p95_ms;
         last_upsized = -1;
 
-        // Find the most violating LC job (min slack < up_threshold).
+        // Find the most violating LC job (min slack < kUpThreshold).
         int violator = -1;
-        double worst = options_.up_threshold;
+        double worst = kUpThreshold;
         for (size_t j = 0; j < njobs; ++j) {
             double s = slack(obs[j]);
             if (obs[j].is_lc && s < worst) {
@@ -129,7 +138,7 @@ PartiesController::run(platform::SimulatedServer& server)
         // All LC jobs fine. Downsize the slackest LC job and donate to
         // a background job (PARTIES reclaims best-effort resources).
         int donor = -1;
-        double most = options_.down_threshold;
+        double most = kDownThreshold;
         for (size_t j = 0; j < njobs; ++j) {
             double s = slack(obs[j]);
             if (obs[j].is_lc && !donate_blocked[j] && s > most) {
@@ -153,7 +162,7 @@ PartiesController::run(platform::SimulatedServer& server)
                 last_downsized = donor;
         }
         if (!acted) {
-            if (++quiet_rounds >= options_.stable_rounds)
+            if (++quiet_rounds >= kStableRounds)
                 break; // converged: QoS met and nothing to reclaim
         } else {
             quiet_rounds = 0;

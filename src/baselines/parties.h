@@ -34,13 +34,8 @@ namespace baselines {
 /** PARTIES tuning knobs. */
 struct PartiesOptions
 {
-    int max_samples = 100;       ///< Adjustment budget (Fig. 9b uses 100).
-    double up_threshold = 0.0;   ///< Slack below this = violation.
-    double down_threshold = 0.3; ///< Slack above this = donate resources.
-    /** Relative latency improvement required to keep trying a resource. */
-    double improve_epsilon = 0.02;
-    int stable_rounds = 3;       ///< Quiet rounds before declaring done.
-    uint64_t seed = 11;          ///< Tie-break randomness.
+    int max_samples = 100; ///< Adjustment budget (Fig. 9b uses 100).
+    uint64_t seed = 11;    ///< Tie-break randomness.
 };
 
 /**

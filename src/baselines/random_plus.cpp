@@ -11,6 +11,9 @@ namespace baselines {
 
 namespace {
 
+/// Draw attempts per accepted sample before relaxing the filter.
+constexpr int kMaxAttempts = 50;
+
 double
 distance(const std::vector<double>& a, const std::vector<double>& b)
 {
@@ -43,7 +46,7 @@ RandomPlusController::run(platform::SimulatedServer& server)
     while (int(trace.size()) < options_.budget) {
         platform::Allocation cand(njobs, config);
         bool accepted = false;
-        for (int attempt = 0; attempt < options_.max_attempts; ++attempt) {
+        for (int attempt = 0; attempt < kMaxAttempts; ++attempt) {
             for (size_t r = 0; r < config.resourceCount(); ++r) {
                 std::vector<int> parts = stats::sampleComposition(
                     config.resource(r).units, int(njobs), rng, 1);

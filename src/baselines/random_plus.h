@@ -29,8 +29,6 @@ struct RandomPlusOptions
     int budget = 50;
     /** Minimum normalized Euclidean distance to prior samples. */
     double min_distance = 0.08;
-    /** Draw attempts per accepted sample before relaxing the filter. */
-    int max_attempts = 50;
     uint64_t seed = 13; ///< RNG seed.
 };
 

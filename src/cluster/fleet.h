@@ -34,8 +34,8 @@
  *
  * Fleet-level metrics (QoS-met fraction over admitted LC jobs, mean BG
  * normalized throughput over admitted BG jobs; a pending or parked job
- * counts as a miss or as 0) are ground-truth values from noise-free
- * observation of each node's incumbent, aggregated with
+ * counts as a miss or as 0) are ground-truth values, each node
+ * incumbent's stationary closed form (observeNoiseless), aggregated with
  * stats::RunningStats. They are reported only: no decision reads
  * ground truth.
  */

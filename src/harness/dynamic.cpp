@@ -20,12 +20,8 @@ toStep(int sample, double load, bool exploring,
     step.all_qos_met = rec.all_qos_met;
     step.bg_perf = meanBgPerformance(rec.observations);
     step.exploring = exploring;
-    for (size_t j = 0; j < rec.alloc.jobs(); ++j) {
-        std::vector<int> row;
-        for (size_t r = 0; r < rec.alloc.resources(); ++r)
-            row.push_back(rec.alloc.get(j, r));
-        step.alloc.push_back(std::move(row));
-    }
+    for (size_t j = 0; j < rec.alloc.jobs(); ++j)
+        step.alloc.push_back(rec.alloc.row(j));
     return step;
 }
 

@@ -38,10 +38,11 @@ sweepIsolatedLoad(const std::string& workload,
         spec.seed = seed;
         platform::SimulatedServer server = makeServer(spec);
 
-        platform::Allocation full =
-            platform::Allocation::maxFor(0, 1, server.config());
-        std::vector<platform::JobObservation> obs =
-            server.observeNoiseless(full);
+        // One measured window on the backend (a seeded DES window on
+        // the DES), not the closed-form truth, so the analytic and DES
+        // curves stay two readings.
+        std::vector<platform::JobObservation> obs = server.evaluate(
+            platform::Allocation::maxFor(0, 1, server.config()));
 
         KneePoint pt;
         pt.load_fraction = load;

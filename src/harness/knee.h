@@ -49,8 +49,11 @@ struct KneeCurve
  * @param workload LC application name.
  * @param loads Load fractions to sweep (may exceed 1 to show the
  *     super-saturation blow-up).
- * @param backend Model backend to measure with.
- * @param seed DES/noise seed (noise is disabled for this analysis).
+ * @param backend Model backend to measure with: each point is one
+ *     noise-free observation window on it (the closed form on the
+ *     analytic backend, a DES window on the DES backend).
+ * @param seed Seed of the server the DES windows draw from (noise is
+ *     disabled for this analysis).
  */
 KneeCurve sweepIsolatedLoad(const std::string& workload,
                             const std::vector<double>& loads,

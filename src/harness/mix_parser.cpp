@@ -1,5 +1,6 @@
 #include "harness/mix_parser.h"
 
+#include <charconv>
 #include <cmath>
 #include <sstream>
 
@@ -22,6 +23,21 @@ trim(const std::string& s)
     return s.substr(b, e - b + 1);
 }
 
+/** The whole of @p text as a decimal T; @p what names it in errors. */
+template <typename T>
+T
+parseNumber(const std::string& text, const char* what)
+{
+    T v{};
+    const char* end = text.data() + text.size();
+    const auto [ptr, ec] = std::from_chars(text.data(), end, v);
+    CLITE_CHECK(ec != std::errc::result_out_of_range,
+                what << " out of range: '" << text << "'");
+    CLITE_CHECK(ec == std::errc() && ptr == end,
+                "malformed " << what << ": '" << text << "'");
+    return v;
+}
+
 /** Parse "40%" or "0.4" into a load fraction. */
 double
 parseLoad(const std::string& text)
@@ -31,15 +47,7 @@ parseLoad(const std::string& text)
     bool percent = t.back() == '%';
     if (percent)
         t.pop_back();
-    size_t consumed = 0;
-    double v = 0.0;
-    try {
-        v = std::stod(t, &consumed);
-    } catch (const std::exception&) {
-        CLITE_THROW("malformed load value: '" << text << "'");
-    }
-    CLITE_CHECK(consumed == t.size(), "malformed load value: '" << text
-                                          << "'");
+    double v = parseNumber<double>(t, "load value");
     if (percent)
         v /= 100.0;
     CLITE_CHECK(v > 0.0 && v <= 1.0,
@@ -97,6 +105,22 @@ formatMix(const std::vector<workloads::JobSpec>& jobs)
                 << "%";
     }
     return oss.str();
+}
+
+uint64_t
+parseSeed(const std::string& text)
+{
+    return parseNumber<uint64_t>(text, "seed");
+}
+
+double
+parseNoiseSigma(const std::string& text)
+{
+    const double v = parseNumber<double>(text, "noise sigma");
+    CLITE_CHECK(std::isfinite(v) && v >= 0.0,
+                "noise sigma must be finite and >= 0, got '" << text
+                                                             << "'");
+    return v;
 }
 
 } // namespace harness

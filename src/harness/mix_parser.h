@@ -1,6 +1,7 @@
 /**
  * @file
- * Textual job-mix specifications for the CLI driver and scripts.
+ * Textual inputs of clite_cli and scripts: job-mix specifications and
+ * the tool's numeric arguments (seed, noise sigma).
  *
  * Grammar (comma-separated job terms):
  *
@@ -17,6 +18,7 @@
 #ifndef CLITE_HARNESS_MIX_PARSER_H
 #define CLITE_HARNESS_MIX_PARSER_H
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -37,6 +39,18 @@ std::vector<workloads::JobSpec> parseMix(const std::string& text);
 
 /** Render a job list back into the mix grammar (round-trips parseMix). */
 std::string formatMix(const std::vector<workloads::JobSpec>& jobs);
+
+/**
+ * Parse a seed: all of @p text is a decimal integer in [0, 2^64).
+ * @throws clite::Error otherwise (a sign, spaces or trailing text too).
+ */
+uint64_t parseSeed(const std::string& text);
+
+/**
+ * Parse a noise sigma: all of @p text is a finite decimal >= 0.
+ * @throws clite::Error otherwise (nan, inf, 1e400 or "0.1x" too).
+ */
+double parseNoiseSigma(const std::string& text);
 
 } // namespace harness
 } // namespace clite

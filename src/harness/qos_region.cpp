@@ -42,8 +42,6 @@ mapQosRegion(const std::string& workload, double load,
     platform::ServerConfig config = platform::ServerConfig::xeonSilver4114();
     workloads::WorkloadProfile profile = workloads::lcWorkload(workload);
     workloads::JobSpec job{profile, load};
-    workloads::AnalyticModel model;
-    Rng rng(0);
 
     const size_t ia = config.indexOf(res_a);
     const size_t ib = config.indexOf(res_b);
@@ -67,9 +65,9 @@ mapQosRegion(const std::string& workload, double load,
                 units[r] = config.resource(r).units; // others at full
             units[ia] = region.a_units[ai];
             units[ib] = region.b_units[bi];
-            workloads::JobMeasurement m =
-                model.measure(job, units, config, rng);
-            region.safe[bi][ai] = m.p95_ms <= profile.qos_p95_ms;
+            region.safe[bi][ai] =
+                workloads::closedFormMeasure(job, units, config).p95_ms <=
+                profile.qos_p95_ms;
         }
     }
     return region;

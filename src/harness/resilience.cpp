@@ -31,8 +31,8 @@ runResilient(const ResilienceSpec& spec)
 
     if (out.found_config) {
         // Ground truth of the partition the server was left running:
-        // observeNoiseless() bypasses both measurement noise and the
-        // fault injector.
+        // observeNoiseless() reads the closed form, bypassing
+        // measurement noise, DES sampling and the fault injector.
         core::ScoreBreakdown truth = core::scoreObservations(
             server.observeNoiseless(*out.result.best));
         out.truth_score = truth.score;

@@ -65,6 +65,14 @@ Allocation::get(size_t j, size_t r) const
     return cells_[j * resources() + r];
 }
 
+std::vector<int>
+Allocation::row(size_t j) const
+{
+    CLITE_CHECK(j < njobs_, "job " << j << " out of " << njobs_);
+    const auto first = cells_.begin() + std::ptrdiff_t(j * resources());
+    return std::vector<int>(first, first + std::ptrdiff_t(resources()));
+}
+
 void
 Allocation::set(size_t j, size_t r, int units)
 {

@@ -52,6 +52,9 @@ class Allocation
     /** Units of resource @p r owned by job @p j. */
     int get(size_t j, size_t r) const;
 
+    /** Job @p j's row: its units of every resource, in resource order. */
+    std::vector<int> row(size_t j) const;
+
     /** Set the units of resource @p r owned by job @p j. */
     void set(size_t j, size_t r, int units);
 

@@ -9,6 +9,22 @@
 namespace clite {
 namespace platform {
 
+namespace {
+
+/** Blank a crashed job's reading: no throughput, an unbounded tail. */
+void
+blankCrashed(JobObservation& ob)
+{
+    ob.crashed = true;
+    ob.throughput = 0.0;
+    if (ob.is_lc) {
+        ob.p95_ms = 1e9;
+        ob.p99_ms = 1e9;
+    }
+}
+
+} // namespace
+
 bool
 JobObservation::qosMet() const
 {
@@ -196,10 +212,8 @@ SimulatedServer::isolationBaseline(size_t j) const
         iso_cache_load_[j] != jobs_[j].load_fraction) {
         // Max-allocation extremum: job j gets everything except one
         // unit per other job (the bootstrap sample of Sec. 4).
-        Allocation iso = Allocation::maxFor(j, jobs_.size(), config_);
-        std::vector<int> units(config_.resourceCount());
-        for (size_t r = 0; r < config_.resourceCount(); ++r)
-            units[r] = iso.get(j, r);
+        const std::vector<int> units =
+            Allocation::maxFor(j, jobs_.size(), config_).row(j);
         Rng iso_rng(0x15015015ull + j); // fixed: baseline is noise-free
         // The baseline is cached and divides every later score of the
         // job, so it is measured fine even inside a coarse search
@@ -226,6 +240,46 @@ SimulatedServer::isolationBaseline(size_t j) const
     return m;
 }
 
+JobObservation
+SimulatedServer::observation(size_t j, const workloads::JobMeasurement& m,
+                             double noise) const
+{
+    JobObservation ob;
+    ob.job_name = jobs_[j].profile.name;
+    ob.is_lc = jobs_[j].isLatencyCritical();
+    ob.load_fraction = jobs_[j].load_fraction;
+    if (ob.is_lc) {
+        // The p99 rides the same noise multiplier as the p95 — one
+        // draw per job keeps the noise stream (and every golden
+        // depending on it) unchanged.
+        ob.p95_ms = m.p95_ms * noise;
+        ob.p99_ms = m.p99_ms * noise;
+        ob.qos_target_ms = jobs_[j].profile.qos_p95_ms;
+        ob.throughput = m.throughput;
+        ob.iso_p95_ms = isolationBaseline(j).p95_ms;
+    } else {
+        ob.throughput = m.throughput * noise;
+        ob.iso_throughput = isolationBaseline(j).throughput;
+    }
+    return ob;
+}
+
+std::vector<JobObservation>
+SimulatedServer::measureWindow(Rng& model_rng, Rng& noise_rng,
+                               double sigma) const
+{
+    std::vector<JobObservation> out;
+    out.reserve(jobs_.size());
+    for (size_t j = 0; j < jobs_.size(); ++j) {
+        workloads::JobMeasurement m =
+            model_->measure(jobs_[j], current_->row(j), config_, model_rng);
+        double noise =
+            sigma > 0.0 ? noise_rng.logNormalMean(1.0, sigma) : 1.0;
+        out.push_back(observation(j, m, noise));
+    }
+    return out;
+}
+
 std::vector<JobObservation>
 SimulatedServer::observe()
 {
@@ -233,38 +287,8 @@ SimulatedServer::observe()
     const uint64_t window = observe_count_;
     ++observe_count_;
 
-    std::vector<JobObservation> out;
-    out.reserve(jobs_.size());
-    for (size_t j = 0; j < jobs_.size(); ++j) {
-        std::vector<int> units(config_.resourceCount());
-        for (size_t r = 0; r < config_.resourceCount(); ++r)
-            units[r] = current_->get(j, r);
-        workloads::JobMeasurement m =
-            model_->measure(jobs_[j], units, config_, model_rng_);
-
-        double noise = noise_sigma_ > 0.0
-                           ? noise_rng_.logNormalMean(1.0, noise_sigma_)
-                           : 1.0;
-
-        JobObservation ob;
-        ob.job_name = jobs_[j].profile.name;
-        ob.is_lc = jobs_[j].isLatencyCritical();
-        ob.load_fraction = jobs_[j].load_fraction;
-        if (ob.is_lc) {
-            // The p99 rides the same noise multiplier as the p95 —
-            // one draw per job keeps the noise stream (and every
-            // golden depending on it) unchanged.
-            ob.p95_ms = m.p95_ms * noise;
-            ob.p99_ms = m.p99_ms * noise;
-            ob.qos_target_ms = jobs_[j].profile.qos_p95_ms;
-            ob.throughput = m.throughput;
-            ob.iso_p95_ms = isolationBaseline(j).p95_ms;
-        } else {
-            ob.throughput = m.throughput * noise;
-            ob.iso_throughput = isolationBaseline(j).throughput;
-        }
-        out.push_back(std::move(ob));
-    }
+    std::vector<JobObservation> out =
+        measureWindow(model_rng_, noise_rng_, noise_sigma_);
     if (!faultsEnabled())
         return out;
 
@@ -280,13 +304,7 @@ SimulatedServer::observe()
     }
     for (size_t j = 0; j < out.size(); ++j) {
         if (faults_->jobDown(window, j)) {
-            JobObservation& ob = out[j];
-            ob.crashed = true;
-            ob.throughput = 0.0;
-            if (ob.is_lc) {
-                ob.p95_ms = 1e9; // no service: unbounded tail
-                ob.p99_ms = 1e9;
-            }
+            blankCrashed(out[j]);
             faults_->record(FaultKind::JobCrash, window, j);
         } else if (out[j].is_lc && faults_->latencySpike(window, j)) {
             out[j].p95_ms *= faults_->plan().spike_factor;
@@ -325,38 +343,10 @@ SimulatedServer::observePartialWindow(double fraction)
     Rng peek_rng(h);
 
     // Fewer queries observed so far -> noisier percentile estimate.
-    const double partial_sigma = noise_sigma_ / std::sqrt(fraction);
-
-    std::vector<JobObservation> out;
-    out.reserve(jobs_.size());
-    for (size_t j = 0; j < jobs_.size(); ++j) {
-        std::vector<int> units(config_.resourceCount());
-        for (size_t r = 0; r < config_.resourceCount(); ++r)
-            units[r] = current_->get(j, r);
-        workloads::JobMeasurement m =
-            model_->measure(jobs_[j], units, config_, peek_rng);
-
-        double noise = noise_sigma_ > 0.0
-                           ? peek_rng.logNormalMean(1.0, partial_sigma)
-                           : 1.0;
-
-        JobObservation ob;
-        ob.job_name = jobs_[j].profile.name;
-        ob.is_lc = jobs_[j].isLatencyCritical();
-        ob.load_fraction = jobs_[j].load_fraction;
+    std::vector<JobObservation> out = measureWindow(
+        peek_rng, peek_rng, noise_sigma_ / std::sqrt(fraction));
+    for (auto& ob : out)
         ob.window_fraction = fraction;
-        if (ob.is_lc) {
-            ob.p95_ms = m.p95_ms * noise;
-            ob.p99_ms = m.p99_ms * noise;
-            ob.qos_target_ms = jobs_[j].profile.qos_p95_ms;
-            ob.throughput = m.throughput;
-            ob.iso_p95_ms = isolationBaseline(j).p95_ms;
-        } else {
-            ob.throughput = m.throughput * noise;
-            ob.iso_throughput = isolationBaseline(j).throughput;
-        }
-        out.push_back(std::move(ob));
-    }
     if (!faultsEnabled())
         return out;
 
@@ -368,14 +358,8 @@ SimulatedServer::observePartialWindow(double fraction)
         for (auto& ob : out)
             ob.valid = false;
     for (size_t j = 0; j < out.size(); ++j)
-        if (faults_->jobDown(window, j)) {
-            out[j].crashed = true;
-            out[j].throughput = 0.0;
-            if (out[j].is_lc) {
-                out[j].p95_ms = 1e9;
-                out[j].p99_ms = 1e9;
-            }
-        }
+        if (faults_->jobDown(window, j))
+            blankCrashed(out[j]);
     return out;
 }
 
@@ -386,6 +370,14 @@ SimulatedServer::evaluate(const Allocation& alloc)
     return observe();
 }
 
+JobObservation
+SimulatedServer::reference(size_t j, const std::vector<int>& units) const
+{
+    CLITE_CHECK(j < jobs_.size(), "job " << j << " out of " << jobs_.size());
+    return observation(
+        j, workloads::closedFormMeasure(jobs_[j], units, config_), 1.0);
+}
+
 std::vector<JobObservation>
 SimulatedServer::observeNoiseless(const Allocation& alloc) const
 {
@@ -393,39 +385,10 @@ SimulatedServer::observeNoiseless(const Allocation& alloc) const
                 "allocation for " << alloc.jobs() << " jobs, server has "
                                   << jobs_.size());
     alloc.validate();
-
-    // Deterministic per-configuration stream so stochastic backends
-    // (DES) return a stable ground truth for the same configuration.
-    uint64_t h = 1469598103934665603ull;
-    for (char c : alloc.key())
-        h = (h ^ uint64_t(uint8_t(c))) * 1099511628211ull;
-    Rng local(h);
-
     std::vector<JobObservation> out;
     out.reserve(jobs_.size());
-    for (size_t j = 0; j < jobs_.size(); ++j) {
-        std::vector<int> units(config_.resourceCount());
-        for (size_t r = 0; r < config_.resourceCount(); ++r)
-            units[r] = alloc.get(j, r);
-        workloads::JobMeasurement m =
-            model_->measure(jobs_[j], units, config_, local);
-
-        JobObservation ob;
-        ob.job_name = jobs_[j].profile.name;
-        ob.is_lc = jobs_[j].isLatencyCritical();
-        ob.load_fraction = jobs_[j].load_fraction;
-        if (ob.is_lc) {
-            ob.p95_ms = m.p95_ms;
-            ob.p99_ms = m.p99_ms;
-            ob.qos_target_ms = jobs_[j].profile.qos_p95_ms;
-            ob.throughput = m.throughput;
-            ob.iso_p95_ms = isolationBaseline(j).p95_ms;
-        } else {
-            ob.throughput = m.throughput;
-            ob.iso_throughput = isolationBaseline(j).throughput;
-        }
-        out.push_back(std::move(ob));
-    }
+    for (size_t j = 0; j < jobs_.size(); ++j)
+        out.push_back(reference(j, alloc.row(j)));
     return out;
 }
 

@@ -47,8 +47,8 @@ struct JobObservation
     double qos_target_ms = 0; ///< QoS target (LC).
     double throughput = 0.0;  ///< Measured throughput.
 
-    double iso_p95_ms = 0.0;     ///< p95 under maximum allocation (LC).
-    double iso_throughput = 0.0; ///< Throughput under max allocation (BG).
+    double iso_p95_ms = 0.0;     ///< Measured isolated p95 (LC).
+    double iso_throughput = 0.0; ///< Measured isolated throughput (BG).
 
     /**
      * False when the window's telemetry was lost (measurement
@@ -206,14 +206,22 @@ class SimulatedServer
     std::vector<JobObservation> evaluate(const Allocation& alloc);
 
     /**
-     * Noise-free, side-effect-free evaluation of @p alloc: does not
-     * reprogram the drivers and does not advance the sample counters.
-     * This is the "offline" oracle view of a configuration (and the
-     * harness's ground-truth reporter); online controllers must use
+     * Ground truth of @p alloc, every job's reference(): programs no
+     * partition, advances no counter and draws from no stream. This is
+     * the "offline" oracle view of a configuration (and the harness's
+     * and fleet's ground-truth reporter); online controllers must use
      * evaluate() instead.
      */
     std::vector<JobObservation> observeNoiseless(
         const Allocation& alloc) const;
+
+    /**
+     * Job @p j's noise-free reference under @p units (one per
+     * resource): the stationary closed form, on every backend
+     * (workloads::closedFormMeasure()), normalized by the job's
+     * measured isolationBaseline().
+     */
+    JobObservation reference(size_t j, const std::vector<int>& units) const;
 
     /**
      * Change job @p j's offered load (Fig. 16 dynamic scenario).
@@ -276,12 +284,23 @@ class SimulatedServer
     }
 
     /**
-     * Noise-free isolated baseline of job @p j (max-allocation
-     * extremum): p95 for LC, throughput for BG. Cached per load.
+     * Measured isolated baseline of job @p j (one fine, noise-free
+     * model window at its max-allocation extremum, fixed seed): p95
+     * for LC, throughput for BG. Cached per load.
      */
     workloads::JobMeasurement isolationBaseline(size_t j) const;
 
   private:
+    /** Job @p j's observation of @p m under noise multiplier @p noise. */
+    JobObservation observation(size_t j, const workloads::JobMeasurement& m,
+                               double noise) const;
+
+    /** Every job under the programmed allocation: per job, one model
+     *  draw from @p model_rng, then noise of @p sigma from @p noise_rng. */
+    std::vector<JobObservation> measureWindow(Rng& model_rng,
+                                              Rng& noise_rng,
+                                              double sigma) const;
+
     /**
      * Program @p alloc unconditionally, bypassing fault injection —
      * construction and job arrival/departure reconfigure the slots as

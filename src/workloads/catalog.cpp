@@ -63,10 +63,7 @@ calibrateLoadAndQos(WorkloadProfile& p)
     }
     p.max_qps = lambda;
 
-    JobSpec spec{p, 1.0};
-    AnalyticModel model;
-    Rng rng(0);
-    JobMeasurement m = model.measure(spec, full, config, rng);
+    JobMeasurement m = closedFormMeasure(JobSpec{p, 1.0}, full, config);
     CLITE_ASSERT(!m.saturated,
                  "workload " << p.name
                              << " saturates the whole machine at its own "

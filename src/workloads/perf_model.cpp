@@ -140,26 +140,8 @@ deriveServiceCost(const JobSpec& job, const std::vector<int>& units,
 }
 
 JobMeasurement
-PerformanceModel::measureJob(const std::vector<JobSpec>& jobs, size_t j,
-                             const platform::Allocation& alloc,
-                             const platform::ServerConfig& config,
-                             Rng& rng) const
-{
-    CLITE_CHECK(j < jobs.size(), "job index " << j << " out of "
-                                              << jobs.size());
-    CLITE_CHECK(alloc.jobs() == jobs.size(),
-                "allocation is for " << alloc.jobs() << " jobs, got "
-                                     << jobs.size());
-    std::vector<int> units(alloc.resources());
-    for (size_t r = 0; r < alloc.resources(); ++r)
-        units[r] = alloc.get(j, r);
-    return measure(jobs[j], units, config, rng);
-}
-
-JobMeasurement
-AnalyticModel::measure(const JobSpec& job, const std::vector<int>& units,
-                       const platform::ServerConfig& config,
-                       Rng& /* rng */) const
+closedFormMeasure(const JobSpec& job, const std::vector<int>& units,
+                  const platform::ServerConfig& config)
 {
     ServiceCost cost = deriveServiceCost(job, units, config,
                                          job.isLatencyCritical()
@@ -213,6 +195,14 @@ AnalyticModel::measure(const JobSpec& job, const std::vector<int>& units,
         m.saturated = true;
     }
     return m;
+}
+
+JobMeasurement
+AnalyticModel::measure(const JobSpec& job, const std::vector<int>& units,
+                       const platform::ServerConfig& config,
+                       Rng& /* rng */) const
+{
+    return closedFormMeasure(job, units, config);
 }
 
 QueueingSimModel::QueueingSimModel(double warmup_s, double window_s,

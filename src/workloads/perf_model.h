@@ -92,6 +92,16 @@ ServiceCost deriveServiceCost(const JobSpec& job,
                               double offered_rate);
 
 /**
+ * The stationary closed form of @p job under @p units (Erlang-C for
+ * LC, the rate equation for BG): the analytic backend's measurement
+ * and, since every DES station is the same M/M/c queue, the DES's
+ * expectation. Ground truth on every backend.
+ */
+JobMeasurement closedFormMeasure(const JobSpec& job,
+                                 const std::vector<int>& units,
+                                 const platform::ServerConfig& config);
+
+/**
  * Abstract performance model.
  */
 class PerformanceModel
@@ -127,14 +137,6 @@ class PerformanceModel
 
     /** The active measurement event budget (0 = fine/unlimited). */
     virtual uint64_t eventBudget() const { return 0; }
-
-    /**
-     * Convenience: measure job @p j of @p jobs under a full Allocation.
-     */
-    JobMeasurement measureJob(const std::vector<JobSpec>& jobs, size_t j,
-                              const platform::Allocation& alloc,
-                              const platform::ServerConfig& config,
-                              Rng& rng) const;
 };
 
 /**

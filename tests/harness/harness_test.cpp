@@ -62,6 +62,30 @@ TEST(Knee, AllLcWorkloadsShareTheContract)
     }
 }
 
+/**
+ * Each point of a DES curve is one window of the seeded server, so the
+ * seed moves it; the analytic curve is the closed form whatever the
+ * seed.
+ */
+TEST(Knee, DesCurveReadsTheSeededWindowAnalyticDoesNot)
+{
+    const std::vector<double> loads = {0.4, 0.8};
+    KneeCurve des1 = sweepIsolatedLoad("memcached", loads,
+                                       ModelBackend::Des, 1);
+    KneeCurve des2 = sweepIsolatedLoad("memcached", loads,
+                                       ModelBackend::Des, 2);
+    KneeCurve an1 = sweepIsolatedLoad("memcached", loads,
+                                      ModelBackend::Analytic, 1);
+    KneeCurve an2 = sweepIsolatedLoad("memcached", loads,
+                                      ModelBackend::Analytic, 2);
+    for (size_t i = 0; i < loads.size(); ++i) {
+        EXPECT_NE(des1.points[i].p95_ms, des2.points[i].p95_ms)
+            << "load " << loads[i];
+        EXPECT_EQ(an1.points[i].p95_ms, an2.points[i].p95_ms)
+            << "load " << loads[i];
+    }
+}
+
 TEST(QosRegion, ImgDnnShowsResourceEquivalence)
 {
     // Fig. 1's point: multiple (cores, ways) mixes are QoS-safe, and

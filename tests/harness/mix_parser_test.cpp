@@ -1,11 +1,15 @@
 /**
  * @file
- * Tests for the mix-specification parser behind the CLI driver.
+ * Tests for the mix-specification and numeric-argument parsers behind
+ * clite_cli.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <cstdlib>
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -136,6 +140,77 @@ TEST(MixParser, FuzzedInputThrowsOrParsesCatalogJobs)
                     << "input '" << text << "' job " << name;
             }
         }
+    }
+}
+
+TEST(CliNumbers, ParsesSeedsAndNoiseSigmas)
+{
+    EXPECT_EQ(parseSeed("0"), 0u);
+    EXPECT_EQ(parseSeed("71"), 71u);
+    EXPECT_EQ(parseSeed("18446744073709551615"), UINT64_MAX);
+    EXPECT_EQ(parseNoiseSigma("0.03"), 0.03);
+    EXPECT_EQ(parseNoiseSigma("3e-2"), 0.03);
+    EXPECT_EQ(parseNoiseSigma("0"), 0.0);
+}
+
+TEST(CliNumbers, RejectsMalformedSeedsAndNoiseSigmas)
+{
+    for (const char* text : {"", "abc", "12abc", "-1", "+1", " 1", "1 ",
+                             "1.5", "0x10", "99999999999999999999999",
+                             "18446744073709551616"})
+        EXPECT_THROW(parseSeed(text), Error) << "seed '" << text << "'";
+    for (const char* text : {"", "abc", "0.1x", " 0.1", "+0.1", "-0.1",
+                             "1e400", "-1e400", "nan", "inf", "-inf",
+                             "infinity"})
+        EXPECT_THROW(parseNoiseSigma(text), Error)
+            << "noise '" << text << "'";
+}
+
+/**
+ * Every fuzzed seed either throws clite::Error or is all digits and
+ * parses to exactly the integer it spells.
+ */
+TEST(CliNumbers, FuzzedSeedThrowsOrParsesExactly)
+{
+    const std::string valid = "18446744073709551615";
+    ASSERT_NO_THROW(parseSeed(valid));
+    for (const std::string& text : textMutations(valid)) {
+        uint64_t v = 0;
+        try {
+            v = parseSeed(text);
+        } catch (const Error&) {
+            continue;
+        }
+        const size_t first = text.find_first_not_of('0');
+        const std::string digits =
+            first == std::string::npos ? "0" : text.substr(first);
+        EXPECT_EQ(std::to_string(v), digits) << "input '" << text << "'";
+    }
+}
+
+/**
+ * Every fuzzed noise sigma either throws clite::Error or is a finite,
+ * non-negative number that strtod reads from the whole input.
+ */
+TEST(CliNumbers, FuzzedNoiseSigmaThrowsOrParsesFinite)
+{
+    const std::string valid = "3.25e-2";
+    ASSERT_NO_THROW(parseNoiseSigma(valid));
+    for (const std::string& text : textMutations(valid)) {
+        double v = 0.0;
+        try {
+            v = parseNoiseSigma(text);
+        } catch (const Error&) {
+            continue;
+        }
+        EXPECT_TRUE(std::isfinite(v) && v >= 0.0)
+            << "input '" << text << "' sigma " << v;
+        char* end = nullptr;
+        const double ref = std::strtod(text.c_str(), &end);
+        EXPECT_EQ(end, text.c_str() + text.size())
+            << "input '" << text << "'";
+        EXPECT_EQ(std::memcmp(&v, &ref, sizeof v), 0)
+            << "input '" << text << "' sigma " << v << " vs " << ref;
     }
 }
 

@@ -77,6 +77,14 @@ TEST_P(AllocationJobCount, FlattenRoundTrip)
 INSTANTIATE_TEST_SUITE_P(JobCounts, AllocationJobCount,
                          ::testing::Values(1, 2, 3, 4, 5, 6));
 
+TEST(Allocation, RowIsTheJobsUnitsOfEveryResource)
+{
+    Allocation a = Allocation::maxFor(0, 2, testbed());
+    EXPECT_EQ(a.row(0), (std::vector<int>{9, 10, 9}));
+    EXPECT_EQ(a.row(1), (std::vector<int>{1, 1, 1}));
+    EXPECT_THROW(a.row(2), Error);
+}
+
 TEST(Allocation, ValidityDetectsBadSumsAndZeroRows)
 {
     Allocation a = Allocation::equalShare(2, testbed());

@@ -180,6 +180,68 @@ TEST(SimulatedServer, DesBaselineIsMeasuredFineUnderACoarseBudget)
     }
 }
 
+/**
+ * Ground truth is the closed form on every backend: on a DES server
+ * each job's noise-free p95, p99 and throughput equal
+ * workloads::closedFormMeasure() for its units bit for bit, its iso
+ * fields are the measured isolationBaseline(), and neither the server
+ * seed nor an armed coarse event budget moves any of it.
+ */
+TEST(SimulatedServer, DesNoiselessObservationIsTheClosedForm)
+{
+    auto desServer = [](uint64_t seed) {
+        std::vector<workloads::JobSpec> jobs = {
+            workloads::lcJob("img-dnn", 0.6),
+            workloads::lcJob("memcached", 0.5),
+            workloads::bgJob("streamcluster"),
+        };
+        return SimulatedServer(
+            ServerConfig::xeonSilver4114(), jobs,
+            std::make_unique<workloads::QueueingSimModel>(), seed, 0.05);
+    };
+    auto same = [](double a, double b) {
+        return std::memcmp(&a, &b, sizeof a) == 0;
+    };
+    SimulatedServer s = desServer(1);
+    Allocation a = Allocation::maxFor(0, 3, s.config());
+    std::vector<JobObservation> truth = s.observeNoiseless(a);
+    ASSERT_EQ(truth.size(), 3u);
+    for (size_t j = 0; j < truth.size(); ++j) {
+        std::vector<int> units(a.resources());
+        for (size_t r = 0; r < units.size(); ++r)
+            units[r] = a.get(j, r);
+        const workloads::JobMeasurement cf =
+            workloads::closedFormMeasure(s.job(j), units, s.config());
+        const workloads::JobMeasurement iso = s.isolationBaseline(j);
+        EXPECT_TRUE(same(truth[j].p95_ms, cf.p95_ms)) << truth[j].job_name;
+        EXPECT_TRUE(same(truth[j].p99_ms, cf.p99_ms)) << truth[j].job_name;
+        EXPECT_TRUE(same(truth[j].throughput, cf.throughput))
+            << truth[j].job_name;
+        EXPECT_TRUE(same(truth[j].iso_p95_ms, iso.p95_ms))
+            << truth[j].job_name;
+        EXPECT_TRUE(same(truth[j].iso_throughput, iso.throughput))
+            << truth[j].job_name;
+    }
+    EXPECT_GT(truth[0].p95_ms, 0.0);
+    EXPECT_GT(truth[2].throughput, 0.0);
+
+    SimulatedServer other_seed = desServer(2);
+    SimulatedServer coarse = desServer(1);
+    ASSERT_TRUE(coarse.setMeasurementEventBudget(2000));
+    for (SimulatedServer* t : {&other_seed, &coarse}) {
+        std::vector<JobObservation> again = t->observeNoiseless(a);
+        for (size_t j = 0; j < truth.size(); ++j) {
+            EXPECT_TRUE(same(again[j].p95_ms, truth[j].p95_ms));
+            EXPECT_TRUE(same(again[j].p99_ms, truth[j].p99_ms));
+            EXPECT_TRUE(same(again[j].throughput, truth[j].throughput));
+            EXPECT_TRUE(same(again[j].iso_p95_ms, truth[j].iso_p95_ms));
+            EXPECT_TRUE(
+                same(again[j].iso_throughput, truth[j].iso_throughput));
+        }
+    }
+    EXPECT_EQ(coarse.measurementEventBudget(), 2000u);
+}
+
 TEST(SimulatedServer, IsolationSettingsExposeDriverState)
 {
     SimulatedServer s = makeServer();

@@ -257,20 +257,6 @@ TEST(PerfModel, JobSpecHelpers)
     EXPECT_THROW(lcJob("img-dnn", 1.5), Error);
 }
 
-TEST(PerfModel, MeasureJobExtractsCorrectRow)
-{
-    auto cfg = testbed();
-    std::vector<JobSpec> jobs = {lcJob("memcached", 0.3),
-                                 bgJob("swaptions")};
-    platform::Allocation a = platform::Allocation::maxFor(0, 2, cfg);
-    AnalyticModel model;
-    Rng rng(0);
-    JobMeasurement via_matrix = model.measureJob(jobs, 0, a, cfg, rng);
-    std::vector<int> units = {9, 10, 9};
-    JobMeasurement direct = model.measure(jobs[0], units, cfg, rng);
-    EXPECT_DOUBLE_EQ(via_matrix.p95_ms, direct.p95_ms);
-}
-
 } // namespace
 } // namespace workloads
 } // namespace clite
