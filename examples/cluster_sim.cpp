@@ -30,6 +30,8 @@
 
 #include "cluster/fleet.h"
 #include "cluster/manager.h"
+#include "common/error.h"
+#include "harness/mix_parser.h"
 #include "workloads/catalog.h"
 #include "workloads/traffic/traffic.h"
 
@@ -84,13 +86,18 @@ main(int argc, char** argv)
     std::string trace_kind = "none";
     std::string policy = "immediate";
     uint64_t trace_seed = 42;
-    for (int i = 1; i < argc; ++i) {
-        if (std::strncmp(argv[i], "--trace=", 8) == 0)
-            trace_kind = argv[i] + 8;
-        else if (std::strncmp(argv[i], "--trace-seed=", 13) == 0)
-            trace_seed = std::stoull(argv[i] + 13);
-        else if (std::strncmp(argv[i], "--policy=", 9) == 0)
-            policy = argv[i] + 9;
+    try {
+        for (int i = 1; i < argc; ++i) {
+            if (std::strncmp(argv[i], "--trace=", 8) == 0)
+                trace_kind = argv[i] + 8;
+            else if (std::strncmp(argv[i], "--trace-seed=", 13) == 0)
+                trace_seed = harness::parseSeed(argv[i] + 13);
+            else if (std::strncmp(argv[i], "--policy=", 9) == 0)
+                policy = argv[i] + 9;
+        }
+    } catch (const Error& e) {
+        std::cerr << "error: " << e.what() << "\n";
+        return 2;
     }
 
     cluster::FleetOptions options;

@@ -157,6 +157,11 @@ CliteController::search(platform::SimulatedServer& server,
     const size_t nres = config.resourceCount();
     const size_t dim = njobs * nres;
 
+    // Iso-Perf is sampled when a search starts (the paper's
+    // initialization), so every window of this search divides by a
+    // baseline measured at the search's own loads.
+    server.sampleIsolationBaselines();
+
     Rng rng(options_.seed);
     std::vector<SampleRecord> trace;
     std::set<std::string> seen;

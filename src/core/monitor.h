@@ -175,7 +175,12 @@ class OnlineManager
     struct Tick
     {
         bool all_qos_met = false;   ///< QoS state of this window.
-        double score = 0.0;         ///< Eq. 3 score of this window.
+        /**
+         * Eq. 3 score of this window. Its LC perf terms divide by the
+         * isolation baselines of the last search, so after a load
+         * change they read against the old load until the next search.
+         */
+        double score = 0.0;
         bool reoptimized = false;   ///< A re-optimization ran.
         std::string reason;         ///< Why ("qos-violation", ...).
         int search_samples = 0;     ///< Samples spent if reoptimized.

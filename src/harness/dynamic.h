@@ -66,7 +66,9 @@ struct ReplayWindow
     double time_s = 0.0;      ///< Wall-clock of this window.
     double load = 0.0;        ///< Trace load in effect.
     bool all_qos_met = false; ///< QoS state observed.
-    double score = 0.0;       ///< Eq. 3 score observed.
+    /** Eq. 3 score observed (OnlineManager::Tick::score: its LC perf
+     *  terms divide by the last search's isolation baselines). */
+    double score = 0.0;
     bool reoptimized = false; ///< A re-optimization ran this window.
     std::string reason;       ///< Trigger, when reoptimized.
     double worst_p95_ratio = 0.0; ///< Worst LC p95/target this window.

@@ -76,9 +76,7 @@ SimulatedServer::SimulatedServer(
     for (const auto& spec : config_.resources())
         drivers_.push_back(makeDriver(spec));
 
-    iso_cache_value_.assign(jobs_.size(), 0.0);
-    iso_cache_load_.assign(jobs_.size(), -1.0);
-    iso_cache_valid_.assign(jobs_.size(), false);
+    iso_.resize(jobs_.size());
 
     // Start from the equal-share partition, as an operator would.
     apply(Allocation::equalShare(jobs_.size(), config_));
@@ -204,39 +202,49 @@ SimulatedServer::currentAllocation() const
     return *current_;
 }
 
+void
+SimulatedServer::measureIsolationBaseline(size_t j) const
+{
+    // Max-allocation extremum: job j gets everything except one unit
+    // per other job (the bootstrap sample of Sec. 4).
+    const std::vector<int> units =
+        Allocation::maxFor(j, jobs_.size(), config_).row(j);
+    Rng iso_rng(0x15015015ull + j); // fixed: baseline is noise-free
+    // The baseline divides every later score of the job, so it is
+    // measured fine even inside a coarse search probe; the caller's
+    // budget is restored on every exit.
+    struct FineBaseline
+    {
+        workloads::PerformanceModel& model;
+        uint64_t budget;
+        ~FineBaseline() { model.setEventBudget(budget); }
+    } fine{*model_, model_->eventBudget()};
+    model_->setEventBudget(0);
+    const workloads::JobMeasurement m =
+        model_->measure(jobs_[j], units, config_, iso_rng);
+    iso_[j] = {true, jobs_[j].load_fraction,
+               jobs_[j].isLatencyCritical() ? m.p95_ms : m.throughput};
+}
+
+void
+SimulatedServer::sampleIsolationBaselines()
+{
+    for (size_t j = 0; j < jobs_.size(); ++j)
+        if (!iso_[j].sampled || iso_[j].load != jobs_[j].load_fraction)
+            measureIsolationBaseline(j);
+}
+
 workloads::JobMeasurement
 SimulatedServer::isolationBaseline(size_t j) const
 {
     CLITE_CHECK(j < jobs_.size(), "job " << j << " out of " << jobs_.size());
-    if (!iso_cache_valid_[j] ||
-        iso_cache_load_[j] != jobs_[j].load_fraction) {
-        // Max-allocation extremum: job j gets everything except one
-        // unit per other job (the bootstrap sample of Sec. 4).
-        const std::vector<int> units =
-            Allocation::maxFor(j, jobs_.size(), config_).row(j);
-        Rng iso_rng(0x15015015ull + j); // fixed: baseline is noise-free
-        // The baseline is cached and divides every later score of the
-        // job, so it is measured fine even inside a coarse search
-        // probe; the caller's budget is restored on every exit.
-        struct FineBaseline
-        {
-            workloads::PerformanceModel& model;
-            uint64_t budget;
-            ~FineBaseline() { model.setEventBudget(budget); }
-        } fine{*model_, model_->eventBudget()};
-        model_->setEventBudget(0);
-        workloads::JobMeasurement m =
-            model_->measure(jobs_[j], units, config_, iso_rng);
-        iso_cache_value_[j] = jobs_[j].isLatencyCritical() ? m.p95_ms
-                                                           : m.throughput;
-        iso_cache_load_[j] = jobs_[j].load_fraction;
-        iso_cache_valid_[j] = true;
-    }
+    if (!iso_[j].sampled)
+        measureIsolationBaseline(j);
     workloads::JobMeasurement m;
     if (jobs_[j].isLatencyCritical())
-        m.p95_ms = iso_cache_value_[j];
+        m.p95_ms = iso_[j].value;
     else
-        m.throughput = iso_cache_value_[j];
+        m.throughput = iso_[j].value;
     return m;
 }
 
@@ -414,9 +422,7 @@ SimulatedServer::addJob(const workloads::JobSpec& job)
                                 << " cannot give " << jobs_.size() + 1
                                 << " jobs one unit each");
     jobs_.push_back(job);
-    iso_cache_value_.push_back(0.0);
-    iso_cache_load_.push_back(-1.0);
-    iso_cache_valid_.push_back(false);
+    iso_.emplace_back();
     // Slot reconfiguration is an offline operation: it bypasses fault
     // injection so drivers, current_ and jobs_ never disagree on shape.
     applyInternal(Allocation::equalShare(jobs_.size(), config_));
@@ -434,9 +440,7 @@ SimulatedServer::removeJob(size_t j)
     CLITE_CHECK(jobs_.size() > 1, "cannot remove the last job");
     CLITE_LOG_INFO("job " << jobs_[j].profile.name << " departed");
     jobs_.erase(jobs_.begin() + long(j));
-    iso_cache_value_.erase(iso_cache_value_.begin() + long(j));
-    iso_cache_load_.erase(iso_cache_load_.begin() + long(j));
-    iso_cache_valid_.erase(iso_cache_valid_.begin() + long(j));
+    iso_.erase(iso_.begin() + long(j));
     applyInternal(Allocation::equalShare(jobs_.size(), config_));
     last_window_.clear();
 }

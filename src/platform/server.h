@@ -218,15 +218,16 @@ class SimulatedServer
     /**
      * Job @p j's noise-free reference under @p units (one per
      * resource): the stationary closed form, on every backend
-     * (workloads::closedFormMeasure()), normalized by the job's
-     * measured isolationBaseline().
+     * (workloads::closedFormMeasure()), normalized by the job's last
+     * measured isolationBaseline(), which a load change since the last
+     * search has not refreshed.
      */
     JobObservation reference(size_t j, const std::vector<int>& units) const;
 
     /**
      * Change job @p j's offered load (Fig. 16 dynamic scenario).
-     * Invalidates nothing: iso baselines are per-load and recomputed
-     * lazily.
+     * Measures nothing: the job's isolation baseline keeps its last
+     * sample until sampleIsolationBaselines() runs at the next search.
      */
     void setLoad(size_t j, double load_fraction);
 
@@ -286,11 +287,33 @@ class SimulatedServer
     /**
      * Measured isolated baseline of job @p j (one fine, noise-free
      * model window at its max-allocation extremum, fixed seed): p95
-     * for LC, throughput for BG. Cached per load.
+     * for LC, throughput for BG. Sampled at first use; after that only
+     * sampleIsolationBaselines() measures it again.
      */
     workloads::JobMeasurement isolationBaseline(size_t j) const;
 
+    /**
+     * Sample the isolation baseline of every job not yet sampled or
+     * whose offered load moved since its last sample. CliteController
+     * calls it when a search starts: a real node measures Iso-Perf
+     * when it initializes, not while its jobs run co-located, so
+     * between searches observe() and reference() divide by the last
+     * sample.
+     */
+    void sampleIsolationBaselines();
+
   private:
+    /** One job's isolation baseline sample (the paper's Iso-Perf). */
+    struct IsoSample
+    {
+        bool sampled = false;
+        double load = 0.0;  ///< The job's offered load when sampled.
+        double value = 0.0; ///< p95 (LC) or throughput (BG).
+    };
+
+    /** Measure job @p j's baseline at its current load into iso_[j]. */
+    void measureIsolationBaseline(size_t j) const;
+
     /** Job @p j's observation of @p m under noise multiplier @p noise. */
     JobObservation observation(size_t j, const workloads::JobMeasurement& m,
                                double noise) const;
@@ -322,9 +345,7 @@ class SimulatedServer
     bool last_apply_ok_ = true;
     std::vector<JobObservation> last_window_; // for frozen counters
 
-    mutable std::vector<double> iso_cache_value_;
-    mutable std::vector<double> iso_cache_load_;
-    mutable std::vector<bool> iso_cache_valid_;
+    mutable std::vector<IsoSample> iso_;
 
     uint64_t apply_count_ = 0;
     uint64_t observe_count_ = 0;

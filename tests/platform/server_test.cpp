@@ -10,6 +10,7 @@
 #include <memory>
 
 #include "common/error.h"
+#include "core/clite.h"
 #include "platform/server.h"
 #include "workloads/catalog.h"
 #include "workloads/perf_model.h"
@@ -17,6 +18,45 @@
 namespace clite {
 namespace platform {
 namespace {
+
+bool
+sameBits(double a, double b)
+{
+    return std::memcmp(&a, &b, sizeof a) == 0;
+}
+
+/** A DES model that counts the windows it measures. */
+class CountingModel : public workloads::PerformanceModel
+{
+  public:
+    explicit CountingModel(int& windows) : windows_(windows) {}
+
+    workloads::JobMeasurement
+    measure(const workloads::JobSpec& job, const std::vector<int>& units,
+            const ServerConfig& config, Rng& rng) const override
+    {
+        ++windows_;
+        return des_.measure(job, units, config, rng);
+    }
+    std::string name() const override { return des_.name(); }
+    bool setEventBudget(uint64_t budget) override
+    {
+        return des_.setEventBudget(budget);
+    }
+    uint64_t eventBudget() const override { return des_.eventBudget(); }
+
+  private:
+    int& windows_;
+    workloads::QueueingSimModel des_{0.2, 0.5};
+};
+
+/** A noise-free DES server whose model windows count into @p windows. */
+SimulatedServer
+countingDesServer(std::vector<workloads::JobSpec> jobs, int& windows)
+{
+    return SimulatedServer(ServerConfig::xeonSilver4114(), std::move(jobs),
+                           std::make_unique<CountingModel>(windows), 1, 0.0);
+}
 
 SimulatedServer
 makeServer(double noise = 0.0, uint64_t seed = 1)
@@ -136,16 +176,121 @@ TEST(SimulatedServer, IsolationBaselineIsMaxAllocationPerf)
                 1e-9);
 }
 
-TEST(SimulatedServer, SetLoadRefreshesBaseline)
+/**
+ * setLoad() alone keeps the last baseline sample; the next
+ * sampleIsolationBaselines() (a search's start) measures the new load.
+ */
+TEST(SimulatedServer, SetLoadKeepsBaselineUntilSampled)
 {
     SimulatedServer s = makeServer();
     double iso_low = s.isolationBaseline(0).p95_ms;
     s.setLoad(0, 0.9);
+    EXPECT_TRUE(sameBits(s.isolationBaseline(0).p95_ms, iso_low));
+    s.sampleIsolationBaselines();
     double iso_high = s.isolationBaseline(0).p95_ms;
     EXPECT_GT(iso_high, iso_low);
     EXPECT_THROW(s.setLoad(2, 0.5), Error); // BG job
     EXPECT_THROW(s.setLoad(0, 0.0), Error);
     EXPECT_THROW(s.setLoad(9, 0.5), Error);
+}
+
+/**
+ * Between searches a load change measures no baseline: the next
+ * observe() runs one model window per job and reports the previous
+ * iso fields bit for bit, and so does the ground truth.
+ */
+TEST(SimulatedServer, ObserveAfterSetLoadReusesTheLastBaseline)
+{
+    int windows = 0;
+    SimulatedServer s = countingDesServer(
+        {workloads::lcJob("img-dnn", 0.2), workloads::lcJob("memcached", 0.2),
+         workloads::bgJob("streamcluster")},
+        windows);
+    const std::vector<JobObservation> before = s.observe();
+    s.setLoad(0, 0.5);
+    s.setLoad(1, 0.4);
+    windows = 0;
+    const std::vector<JobObservation> after = s.observe();
+    EXPECT_EQ(windows, int(s.jobCount()));
+    // The closed-form truth measures nothing and divides by the same
+    // sample.
+    const Allocation a = Allocation::equalShare(3, s.config());
+    const std::vector<JobObservation> truth = s.observeNoiseless(a);
+    for (size_t j = 0; j < s.jobCount(); ++j) {
+        EXPECT_TRUE(sameBits(after[j].iso_p95_ms, before[j].iso_p95_ms))
+            << after[j].job_name;
+        EXPECT_TRUE(
+            sameBits(after[j].iso_throughput, before[j].iso_throughput))
+            << after[j].job_name;
+        EXPECT_TRUE(sameBits(truth[j].iso_p95_ms, before[j].iso_p95_ms))
+            << truth[j].job_name;
+    }
+    EXPECT_EQ(windows, int(s.jobCount()));
+}
+
+/**
+ * The first CLITE search after a load change samples the baselines at
+ * the new loads: every observation it makes carries, bit for bit, the
+ * baseline a fresh twin server measures at those loads.
+ */
+TEST(SimulatedServer, SearchAfterSetLoadSamplesTheNewLoad)
+{
+    auto mix = [](double img_dnn, double memcached) {
+        return std::vector<workloads::JobSpec>{
+            workloads::lcJob("img-dnn", img_dnn),
+            workloads::lcJob("memcached", memcached),
+            workloads::bgJob("swaptions")};
+    };
+    int windows = 0;
+    SimulatedServer s = countingDesServer(mix(0.2, 0.2), windows);
+    s.observe();
+    s.setLoad(0, 0.4);
+    s.setLoad(1, 0.3);
+    core::CliteOptions o;
+    o.max_iterations = 2;
+    o.acquisition_starts = 2;
+    o.polish_iterations = 0;
+    const Allocation incumbent = s.currentAllocation();
+    const core::ControllerResult r =
+        core::CliteController(o).reoptimize(s, incumbent);
+
+    int twin_windows = 0;
+    const SimulatedServer twin = countingDesServer(mix(0.4, 0.3), twin_windows);
+    ASSERT_FALSE(r.trace.empty());
+    for (const core::SampleRecord& rec : r.trace) {
+        ASSERT_EQ(rec.observations.size(), twin.jobCount());
+        for (size_t j = 0; j < twin.jobCount(); ++j) {
+            const JobObservation& ob = rec.observations[j];
+            const workloads::JobMeasurement iso = twin.isolationBaseline(j);
+            EXPECT_TRUE(sameBits(ob.iso_p95_ms, iso.p95_ms)) << ob.job_name;
+            EXPECT_TRUE(sameBits(ob.iso_throughput, iso.throughput))
+                << ob.job_name;
+        }
+    }
+}
+
+/**
+ * removeJob() shifts the later jobs' indices, and so their baseline
+ * seeds; with its load unchanged a shifted job keeps its sample, and a
+ * search's sampleIsolationBaselines() measures nothing.
+ */
+TEST(SimulatedServer, RemoveJobIndexShiftKeepsTheSample)
+{
+    int windows = 0;
+    SimulatedServer s = countingDesServer(
+        {workloads::lcJob("img-dnn", 0.2), workloads::lcJob("memcached", 0.3),
+         workloads::bgJob("streamcluster")},
+        windows);
+    s.observe();
+    const double memcached = s.isolationBaseline(1).p95_ms;
+    const double streamcluster = s.isolationBaseline(2).throughput;
+    s.removeJob(0);
+    windows = 0;
+    s.sampleIsolationBaselines();
+    EXPECT_EQ(windows, 0);
+    EXPECT_TRUE(sameBits(s.isolationBaseline(0).p95_ms, memcached));
+    EXPECT_TRUE(sameBits(s.isolationBaseline(1).throughput, streamcluster));
+    EXPECT_EQ(windows, 0);
 }
 
 /**
@@ -173,10 +318,9 @@ TEST(SimulatedServer, DesBaselineIsMeasuredFineUnderACoarseBudget)
     std::vector<JobObservation> fine_obs = fine.observe();
     EXPECT_EQ(coarse.measurementEventBudget(), 2000u);
     for (size_t j = 0; j < 2; ++j) {
-        const double a = coarse_obs[j].iso_p95_ms;
-        const double b = fine_obs[j].iso_p95_ms;
-        EXPECT_EQ(std::memcmp(&a, &b, sizeof a), 0)
-            << coarse_obs[j].job_name << ": " << a << " vs " << b;
+        EXPECT_TRUE(
+            sameBits(coarse_obs[j].iso_p95_ms, fine_obs[j].iso_p95_ms))
+            << coarse_obs[j].job_name;
     }
 }
 
@@ -199,9 +343,6 @@ TEST(SimulatedServer, DesNoiselessObservationIsTheClosedForm)
             ServerConfig::xeonSilver4114(), jobs,
             std::make_unique<workloads::QueueingSimModel>(), seed, 0.05);
     };
-    auto same = [](double a, double b) {
-        return std::memcmp(&a, &b, sizeof a) == 0;
-    };
     SimulatedServer s = desServer(1);
     Allocation a = Allocation::maxFor(0, 3, s.config());
     std::vector<JobObservation> truth = s.observeNoiseless(a);
@@ -213,13 +354,13 @@ TEST(SimulatedServer, DesNoiselessObservationIsTheClosedForm)
         const workloads::JobMeasurement cf =
             workloads::closedFormMeasure(s.job(j), units, s.config());
         const workloads::JobMeasurement iso = s.isolationBaseline(j);
-        EXPECT_TRUE(same(truth[j].p95_ms, cf.p95_ms)) << truth[j].job_name;
-        EXPECT_TRUE(same(truth[j].p99_ms, cf.p99_ms)) << truth[j].job_name;
-        EXPECT_TRUE(same(truth[j].throughput, cf.throughput))
+        EXPECT_TRUE(sameBits(truth[j].p95_ms, cf.p95_ms)) << truth[j].job_name;
+        EXPECT_TRUE(sameBits(truth[j].p99_ms, cf.p99_ms)) << truth[j].job_name;
+        EXPECT_TRUE(sameBits(truth[j].throughput, cf.throughput))
             << truth[j].job_name;
-        EXPECT_TRUE(same(truth[j].iso_p95_ms, iso.p95_ms))
+        EXPECT_TRUE(sameBits(truth[j].iso_p95_ms, iso.p95_ms))
             << truth[j].job_name;
-        EXPECT_TRUE(same(truth[j].iso_throughput, iso.throughput))
+        EXPECT_TRUE(sameBits(truth[j].iso_throughput, iso.throughput))
             << truth[j].job_name;
     }
     EXPECT_GT(truth[0].p95_ms, 0.0);
@@ -231,12 +372,12 @@ TEST(SimulatedServer, DesNoiselessObservationIsTheClosedForm)
     for (SimulatedServer* t : {&other_seed, &coarse}) {
         std::vector<JobObservation> again = t->observeNoiseless(a);
         for (size_t j = 0; j < truth.size(); ++j) {
-            EXPECT_TRUE(same(again[j].p95_ms, truth[j].p95_ms));
-            EXPECT_TRUE(same(again[j].p99_ms, truth[j].p99_ms));
-            EXPECT_TRUE(same(again[j].throughput, truth[j].throughput));
-            EXPECT_TRUE(same(again[j].iso_p95_ms, truth[j].iso_p95_ms));
+            EXPECT_TRUE(sameBits(again[j].p95_ms, truth[j].p95_ms));
+            EXPECT_TRUE(sameBits(again[j].p99_ms, truth[j].p99_ms));
+            EXPECT_TRUE(sameBits(again[j].throughput, truth[j].throughput));
+            EXPECT_TRUE(sameBits(again[j].iso_p95_ms, truth[j].iso_p95_ms));
             EXPECT_TRUE(
-                same(again[j].iso_throughput, truth[j].iso_throughput));
+                sameBits(again[j].iso_throughput, truth[j].iso_throughput));
         }
     }
     EXPECT_EQ(coarse.measurementEventBudget(), 2000u);
