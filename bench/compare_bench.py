@@ -12,11 +12,8 @@ Usage:
 The default mode compares google-benchmark output. `--mode components`
 is the same comparison hardened for the committed component baseline
 (BENCH_components.json): the observation-window hot paths
-(hyper-parameter probe, DES measure) join the watched families, the
-hyper-fit probe families must additionally meet absolute time
-ceilings (PROBE_CEILINGS_MS — the subset-tier 3x floor survives
-baseline regeneration), and a
-candidate produced by a non-Release build — a ".DEBUG"-stamped file
+(hyper-parameter probe, DES measure) join the watched families, and
+a candidate produced by a non-Release build — a ".DEBUG"-stamped file
 name or a `clite_build_type` context other than "release" — fails the
 run outright instead of warning, so a debug JSON can never slip in as
 the baseline. `--mode warmstart`
@@ -77,18 +74,6 @@ COMPONENT_FAMILIES = DEFAULT_FAMILIES + ["hyperparameterprobe",
                                          "predictscalar",
                                          "projectedgradient",
                                          "clitefullsearch"]
-
-# Absolute real-time ceilings (ms) the candidate must meet in
-# `--mode components`, independent of the ratio check. The committed
-# baseline regenerates with the fast subset-tier numbers, so a
-# relative threshold alone cannot hold the 3x floor the subset probe
-# tier bought (docs/PERF.md): each ceiling is one third of the
-# pre-subset exact-fit cost at that history size — 23.19 ms measured
-# at n=256, ~185 ms O(n^3)-extrapolated at n=512.
-PROBE_CEILINGS_MS = {
-    "BM_GpHyperparameterProbe/256": 7.0,
-    "BM_GpHyperparameterProbe/512": 62.0,
-}
 
 
 def load_benchmarks(path):
@@ -509,38 +494,12 @@ def main():
         print(f"{name:<{width}}  {base[name]:>10.0f}ns  "
               f"{cand[name]:>10.0f}ns  {ratio:5.2f}{flag}")
 
-    # Candidate-side absolute ceilings: the probe families must keep
-    # the subset-tier speedup even after the committed baseline is
-    # regenerated with the fast numbers (a pure ratio check would let
-    # the floor erode one 1.25x step per regeneration).
-    ceiling_problems = []
-    if args.mode == "components":
-        for name, ceiling_ms in sorted(PROBE_CEILINGS_MS.items()):
-            got = cand.get(name)
-            if got is None:
-                ceiling_problems.append(
-                    f"{name} is missing from the candidate; the probe "
-                    f"family must stay measured")
-            elif got > ceiling_ms * 1e6:
-                ceiling_problems.append(
-                    f"{name} took {got / 1e6:.2f} ms, above the "
-                    f"{ceiling_ms:.1f} ms absolute ceiling")
-            else:
-                print(f"  ceiling ok: {name} {got / 1e6:.2f} ms "
-                      f"<= {ceiling_ms:.1f} ms")
-
     for name, ratio in regressions:
         print(f"::warning::perf regression: {name} is {ratio:.2f}x the "
               f"committed baseline (threshold {args.threshold:.2f}x)")
-    for p in ceiling_problems:
-        print(f"::warning::probe ceiling: {p}")
-    if regressions or ceiling_problems:
-        if regressions:
-            print(f"{len(regressions)} regression(s) in watched families "
-                  f"({', '.join(families)})", file=sys.stderr)
-        if ceiling_problems:
-            print(f"{len(ceiling_problems)} probe-ceiling failure(s)",
-                  file=sys.stderr)
+    if regressions:
+        print(f"{len(regressions)} regression(s) in watched families "
+              f"({', '.join(families)})", file=sys.stderr)
         return 1 if args.strict else 0
     print("no regressions above "
           f"{args.threshold:.2f}x in watched families")

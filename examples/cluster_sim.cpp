@@ -248,8 +248,6 @@ main(int argc, char** argv)
                 (unsigned long long)m.refits);
     std::printf("  probe evaluations:          %llu\n",
                 (unsigned long long)m.probe_evals);
-    std::printf("  warm-simplex probe wins:    %llu\n",
-                (unsigned long long)m.warm_probe_hits);
     std::printf("  coarse (budgeted) windows:  %llu\n",
                 (unsigned long long)m.coarse_windows);
     std::cout << "percentile-over-time QoS:\n";

@@ -839,7 +839,6 @@ AsyncFleetEngine::run(int epochs)
     // calls and immune to double-counting.
     metrics_.refits = 0;
     metrics_.probe_evals = 0;
-    metrics_.warm_probe_hits = 0;
     metrics_.coarse_windows = 0;
     metrics_.qos_windows = 0;
     metrics_.violating_windows = 0;
@@ -850,7 +849,6 @@ AsyncFleetEngine::run(int epochs)
             continue;
         metrics_.refits += node.manager->refits();
         metrics_.probe_evals += node.manager->probeEvals();
-        metrics_.warm_probe_hits += node.manager->warmProbeHits();
         metrics_.coarse_windows += node.manager->coarseWindows();
         metrics_.qos_windows += node.manager->qosWindows();
         metrics_.violating_windows += node.manager->violatingWindows();

@@ -149,13 +149,12 @@ struct FleetMetrics
      * Refit observability, summed over the live node managers at the
      * end of each run() (cumulative since node creation; counters of
      * torn-down nodes are not retained): GP hyper-refits, the probe
-     * objective evaluations they consumed, warm-simplex probes that
-     * won outright, and observation windows measured in coarse
-     * (event-budgeted) DES mode. Printed by examples/cluster_sim.
+     * objective evaluations they consumed, and observation windows
+     * measured in coarse (event-budgeted) DES mode. Printed by
+     * examples/cluster_sim.
      */
     uint64_t refits = 0;
     uint64_t probe_evals = 0;
-    uint64_t warm_probe_hits = 0;
     uint64_t coarse_windows = 0;
     /**
      * Percentile-over-time QoS telemetry, summed over live node

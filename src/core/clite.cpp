@@ -7,7 +7,6 @@
 #include "bo/acquisition.h"
 #include "common/error.h"
 #include "common/log.h"
-#include "core/cadence.h"
 #include "gp/gaussian_process.h"
 #include "opt/projected_gradient.h"
 #include "opt/simplex.h"
@@ -19,8 +18,7 @@ namespace core {
 
 namespace {
 
-/** Refit the GP hyper-parameters every this many BO iterations
- *  (below gp::kSubsetThreshold samples; core/cadence.h). */
+/** Refit the GP hyper-parameters every this many BO iterations. */
 constexpr int kGpFitEvery = 3;
 /** Random restarts per hyper-parameter fit. */
 constexpr int kGpRestarts = 1;
@@ -122,21 +120,21 @@ CliteController::CliteController(CliteOptions options)
 ControllerResult
 CliteController::run(platform::SimulatedServer& server)
 {
-    return search(server, nullptr);
+    return search(server, std::nullopt);
 }
 
 ControllerResult
 CliteController::runWarm(platform::SimulatedServer& server,
                          const WarmStart& warm)
 {
-    return search(server, nullptr, &warm);
+    return search(server, std::nullopt, &warm);
 }
 
 ControllerResult
 CliteController::reoptimize(platform::SimulatedServer& server,
                             const platform::Allocation& incumbent)
 {
-    return search(server, &incumbent);
+    return search(server, incumbent);
 }
 
 ControllerResult
@@ -144,12 +142,12 @@ CliteController::reoptimizeWarm(platform::SimulatedServer& server,
                                 const platform::Allocation& incumbent,
                                 const WarmStart& warm)
 {
-    return search(server, &incumbent, &warm);
+    return search(server, incumbent, &warm);
 }
 
 ControllerResult
 CliteController::search(platform::SimulatedServer& server,
-                        const platform::Allocation* incumbent,
+                        std::optional<platform::Allocation> incumbent,
                         const WarmStart* warm)
 {
     const platform::ServerConfig& config = server.config();
@@ -187,7 +185,6 @@ CliteController::search(platform::SimulatedServer& server,
     // counters at every exit path.
     uint64_t stat_refits = 0;
     uint64_t stat_probe_evals = 0;
-    uint64_t stat_warm_hits = 0;
     uint64_t stat_coarse_windows = 0;
 
     // Coarse search windows (docs/MODEL.md): with a configured search
@@ -318,7 +315,6 @@ CliteController::search(platform::SimulatedServer& server,
     auto finish = [&](ControllerResult r) {
         r.refits = stat_refits;
         r.probe_evals = stat_probe_evals;
-        r.warm_probe_hits = stat_warm_hits;
         r.coarse_windows = stat_coarse_windows;
         return r;
     };
@@ -351,7 +347,7 @@ CliteController::search(platform::SimulatedServer& server,
     if (options_.informed_bootstrap) {
         if (warm != nullptr && warm->incumbent.has_value())
             evaluate_unique(*warm->incumbent);
-        if (incumbent != nullptr)
+        if (incumbent.has_value())
             evaluate_unique(*incumbent);
         if (warm != nullptr)
             for (const platform::Allocation& a : warm->configs)
@@ -366,7 +362,7 @@ CliteController::search(platform::SimulatedServer& server,
         }
     } else {
         // Ablation: random bootstrap of the same size.
-        size_t want = njobs + 1 + (incumbent != nullptr ? 1 : 0);
+        size_t want = njobs + 1 + (incumbent.has_value() ? 1 : 0);
         int guard = 0;
         while (trace.size() < want && guard++ < 200)
             evaluate_unique(randomAllocation(njobs, config, rng));
@@ -429,16 +425,6 @@ CliteController::search(platform::SimulatedServer& server,
     const double threshold =
         options_.termination_threshold * std::max(1.0, double(njobs) / 3.0);
     int below_threshold_streak = 0;
-
-    // Adaptive refit cadence (core/cadence.h): the fixed kGpFitEvery
-    // schedule below the subset threshold — bit-identical to the
-    // historical behaviour — and a history-stretched period above it,
-    // pulled forward when an observation lands outside the
-    // surrogate's own confidence band. The stretch point is the same
-    // threshold at which the probe tier switches to subset LML, so
-    // the two large-history mechanisms engage together.
-    RefitCadence cadence(kGpFitEvery, gp::kSubsetThreshold);
-    bool surprise_pending = false;
 
     // Dead-knob state: a resource whose isolation tool permanently
     // fails collapses to a frozen column — the search continues over
@@ -512,17 +498,13 @@ CliteController::search(platform::SimulatedServer& server,
             ys.push_back(trace[i].score);
         }
         surrogate.fitIncremental(xs, ys);
-        if (cadence.step(train.size(), surprise_pending)) {
-            surprise_pending = false;
+        if (iter % kGpFitEvery == 0) {
             gp::GpFitOptions fo;
             fo.restarts = kGpRestarts;
             fo.max_iters = 50;
             surrogate.optimizeHyperparameters(rng, fo);
-            const gp::GpFitStats& fs = surrogate.lastFitStats();
             ++stat_refits;
-            stat_probe_evals += fs.probe_evals;
-            if (fs.warm_hit)
-                ++stat_warm_hits;
+            stat_probe_evals += surrogate.lastFitStats().probe_evals;
         }
 
         size_t best_idx = usable[0];
@@ -778,26 +760,7 @@ CliteController::search(platform::SimulatedServer& server,
         }
         if (seen.count(next.key()))
             break; // space effectively exhausted
-
-        // Surrogate-surprise (large history only): compare the
-        // observed score with the posterior at the probe point. A
-        // miss outside the 3σ band (with a 0.05 absolute floor, the
-        // score scale's own noise) means the current
-        // hyper-parameters misdescribe the surface, so the stretched
-        // cadence pulls the next refit forward. Below the threshold
-        // nothing is predicted and the trace stays bit-identical to
-        // the fixed-cadence search.
-        if (surrogate.sampleCount() >= gp::kSubsetThreshold) {
-            const gp::Prediction pr =
-                surrogate.predict(next.flattenNormalized());
-            if (evaluate_unique(next) && trace.back().usable()) {
-                const double band = std::max(0.05, 3.0 * pr.stddev());
-                if (std::fabs(trace.back().score - pr.mean) > band)
-                    surprise_pending = true;
-            }
-        } else {
-            evaluate_unique(next);
-        }
+        evaluate_unique(next);
     }
 
     // ---- Polish phase: slack-directed local moves around the

@@ -29,6 +29,7 @@
 #ifndef CLITE_CORE_CLITE_H
 #define CLITE_CORE_CLITE_H
 
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -214,8 +215,13 @@ class CliteController : public Controller
     const CliteOptions& options() const { return options_; }
 
   private:
+    /**
+     * The search behind every entry point. @p incumbent is taken by
+     * value: callers may pass the server's own currentAllocation(),
+     * which the first apply() replaces.
+     */
     ControllerResult search(platform::SimulatedServer& server,
-                            const platform::Allocation* incumbent,
+                            std::optional<platform::Allocation> incumbent,
                             const WarmStart* warm = nullptr);
 
     CliteOptions options_;

@@ -113,16 +113,18 @@ struct ControllerResult
     /**
      * Refit observability (filled by the CLITE controller, zero for
      * baselines): hyper-refits performed, probe objective evaluations
-     * they consumed, warm-simplex probes that won outright (restarts
-     * skipped), and observation windows measured in coarse
+     * they consumed, and observation windows measured in coarse
      * (event-budgeted) model mode. Printed by examples/cluster_sim so
-     * cadence or subset-tier regressions are visible without a
-     * profiler.
+     * refit regressions are visible without a profiler.
      */
     uint64_t refits = 0;
     uint64_t probe_evals = 0;
-    uint64_t warm_probe_hits = 0;
     uint64_t coarse_windows = 0;
+    /**
+     * Always 0: no hyper-fit probe starts from a warm simplex. Kept
+     * because bench/e2e/workloads.cpp still reads it.
+     */
+    uint64_t warm_probe_hits = 0;
 
     /**
      * Index into trace of the first usable sample meeting all QoS

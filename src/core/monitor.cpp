@@ -269,7 +269,6 @@ OnlineManager::accumulateSearchStats()
 {
     refits_ += last_result_->refits;
     probe_evals_ += last_result_->probe_evals;
-    warm_probe_hits_ += last_result_->warm_probe_hits;
     coarse_windows_ += last_result_->coarse_windows;
 }
 

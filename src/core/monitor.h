@@ -261,8 +261,11 @@ class OnlineManager
     /** Cumulative hyper-probe objective evaluations so far. */
     uint64_t probeEvals() const { return probe_evals_; }
 
-    /** Cumulative warm-simplex probes that won (restarts skipped). */
-    uint64_t warmProbeHits() const { return warm_probe_hits_; }
+    /**
+     * Always 0: no hyper-fit probe starts from a warm simplex. Kept
+     * because bench/e2e/workloads.cpp still reads it.
+     */
+    uint64_t warmProbeHits() const { return 0; }
 
     /** Cumulative windows measured in coarse (event-budgeted) mode. */
     uint64_t coarseWindows() const { return coarse_windows_; }
@@ -416,7 +419,6 @@ class OnlineManager
     int aborted_windows_ = 0;
     uint64_t refits_ = 0;
     uint64_t probe_evals_ = 0;
-    uint64_t warm_probe_hits_ = 0;
     uint64_t coarse_windows_ = 0;
     std::vector<WindowQos> qos_timeline_;
     int clean_windows_ = 0;     ///< Non-faulted windows recorded.

@@ -81,10 +81,7 @@ struct FastLmlProblem
     size_t n = 0;           ///< Training points.
     size_t dims = 0;        ///< Input dimensions.
     bool isotropic = true;  ///< One shared length-scale vs ARD.
-    bool fit_noise = true;  ///< Last log-param is log noise variance.
     RadialForm form = RadialForm::Matern52;
-    /** Noise variance used when !fit_noise. */
-    double noise_variance = 0.0;
     /** Pairwise squared distances, pair (i, j<i) at i(i-1)/2 + j. */
     const double* pair_sqdist = nullptr;
     /**
@@ -117,9 +114,9 @@ struct FastLmlScratch
 
 /**
  * Negative log marginal likelihood of @p problem at log-params
- * @p p[0..np) (kernel params first, then log noise variance when
- * fit_noise). Dispatches to the widest implementation the host
- * supports; all variants return bit-identical values.
+ * @p p[0..np) (kernel params first, then the log noise variance).
+ * Dispatches to the widest implementation the host supports; all
+ * variants return bit-identical values.
  */
 double fastNegLogMarginal(const FastLmlProblem& problem, const double* p,
                           size_t np, FastLmlScratch& scratch);

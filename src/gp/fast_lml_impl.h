@@ -335,8 +335,7 @@ negLogMarginal(const clite::gp::FastLmlProblem& pr, const double* p,
     const size_t n = pr.n;
     const size_t npairs = n * (n - 1) / 2;
     const double sv = std::exp(p[0]);
-    const double noise =
-        pr.fit_noise ? std::exp(p[np - 1]) : pr.noise_variance;
+    const double noise = std::exp(p[np - 1]);
     const double diag = sv + noise;
 
     // Scaled squared distances r² = Σ_d (Δx_d)² / ℓ_d².

@@ -50,8 +50,6 @@ GaussianProcess::GaussianProcess(const GaussianProcess& other)
       pair_sqdiff_(other.pair_sqdiff_),
       chol_(other.chol_),
       alpha_(other.alpha_),
-      warm_hyper_(other.warm_hyper_),
-      warm_scale_(other.warm_scale_),
       fit_stats_(other.fit_stats_)
 {
     // pair_sqdiff_t_ is deliberately NOT copied: it is a pure
@@ -79,8 +77,6 @@ GaussianProcess::operator=(const GaussianProcess& other)
         sqdiff_t_valid_ = false;
         chol_ = other.chol_;
         alpha_ = other.alpha_;
-        warm_hyper_ = other.warm_hyper_;
-        warm_scale_ = other.warm_scale_;
         fit_stats_ = other.fit_stats_;
     }
     return *this;
@@ -470,57 +466,6 @@ GaussianProcess::logMarginalLikelihood() const
     return data_fit + complexity + norm;
 }
 
-void
-GaussianProcess::seedWarmStart(std::vector<double> hyper, double scale)
-{
-    warm_hyper_ = std::move(hyper);
-    warm_scale_ = scale;
-}
-
-void
-GaussianProcess::clearWarmStart()
-{
-    warm_hyper_.clear();
-    warm_scale_ = 0.0;
-}
-
-std::vector<size_t>
-GaussianProcess::probeSubsetIndices(size_t m) const
-{
-    const size_t n = x_.size();
-    CLITE_ASSERT(m >= 2 && m < n, "probe subset must be a strict subset");
-
-    // Stratify by standardized score: sort sample indices by (score,
-    // index) — the index tie-break makes the order, and therefore the
-    // subset, independent of how the scores were produced — then take
-    // one member per stratum. The extreme strata contain the best and
-    // worst observed configurations, so the incumbent region always
-    // survives the thinning.
-    std::vector<size_t> order(n);
-    for (size_t i = 0; i < n; ++i)
-        order[i] = i;
-    std::stable_sort(order.begin(), order.end(),
-                     [&](size_t a, size_t b) {
-                         if (ys_std_[a] != ys_std_[b])
-                             return ys_std_[a] < ys_std_[b];
-                         return a < b;
-                     });
-
-    // Seed-stable pick inside each stratum: the choice depends only on
-    // (n, stratum), never on an external RNG stream, so the same
-    // history yields the same subset on every thread count and every
-    // rerun.
-    std::vector<size_t> subset(m);
-    for (size_t s = 0; s < m; ++s) {
-        const size_t lo = s * n / m;
-        const size_t hi = (s + 1) * n / m;
-        SplitMix64 pick(0x5be5eedd15b5e7a1ULL ^ (uint64_t(n) << 20) ^ s);
-        subset[s] = order[lo + pick.next() % (hi - lo)];
-    }
-    std::sort(subset.begin(), subset.end());
-    return subset;
-}
-
 double
 GaussianProcess::optimizeHyperparameters(Rng& rng,
                                          const GpFitOptions& options)
@@ -528,10 +473,8 @@ GaussianProcess::optimizeHyperparameters(Rng& rng,
     CLITE_CHECK(fitted(), "optimizeHyperparameters called before fit");
     fit_stats_ = GpFitStats{};
 
-    const bool fit_noise = options.fit_noise;
     std::vector<double> start = kernel_->logParams();
-    if (fit_noise)
-        start.push_back(std::log(noise_variance_));
+    start.push_back(std::log(noise_variance_));
 
     auto objective = [&](const std::vector<double>& p) {
         // Reject absurd parameter magnitudes to keep Cholesky healthy.
@@ -541,8 +484,7 @@ GaussianProcess::optimizeHyperparameters(Rng& rng,
         std::vector<double> kp(p.begin(),
                                p.begin() + long(kernel_->numParams()));
         kernel_->setLogParams(kp);
-        if (fit_noise)
-            noise_variance_ = std::exp(p.back());
+        noise_variance_ = std::exp(p.back());
         try {
             refit();
         } catch (const Error&) {
@@ -572,151 +514,11 @@ GaussianProcess::optimizeHyperparameters(Rng& rng,
     // radial form. Fast probes agree with the exact value to roundoff
     // but are not bit-identical; only the winner is re-evaluated — and
     // the model refit — through the exact path.
-    //
-    // From kSubsetThreshold samples on, probes rank hyper-vectors by
-    // the LML of a deterministic score-stratified subset (O(m³) per
-    // evaluation instead of O(n³)), the persisted warm simplex is
-    // probed first and the restarts run only when it regresses, and
-    // the winner must finally beat the current exact LML before the
-    // refit is kept. That branch returns on its own below; everything
-    // past it is the full-history path.
-    const RadialForm form = radialFormFor(kernel_->name());
-    if (x_.size() >= kSubsetThreshold) {
-        const size_t m_sub = kSubsetSize;
-        fit_stats_.subset_used = true;
-
-        // Materialize the subset problem: packed pair distances pulled
-        // from the full-set cache at pair index i(i-1)/2+j, targets
-        // standardized by the FULL set (ranking only — absolute level
-        // does not matter, relative curvature does), and a d×m panel
-        // for ARD kernels.
-        const std::vector<size_t> sub = probeSubsetIndices(m_sub);
-        FastLmlProblem sp;
-        sp.n = m_sub;
-        sp.dims = kernel_->dims();
-        sp.isotropic = kernel_->isotropic();
-        sp.fit_noise = fit_noise;
-        sp.form = form;
-        sp.noise_variance = noise_variance_;
-        std::vector<double> sub_sqd(m_sub * (m_sub - 1) / 2);
-        {
-            size_t pair = 0;
-            for (size_t i = 0; i < m_sub; ++i)
-                for (size_t j = 0; j < i; ++j, ++pair) {
-                    const size_t gi = sub[i], gj = sub[j];
-                    sub_sqd[pair] =
-                        pair_sqdist_[gi * (gi - 1) / 2 + gj];
-                }
-        }
-        sp.pair_sqdist = sub_sqd.data();
-        std::vector<double> sub_ys(m_sub);
-        for (size_t i = 0; i < m_sub; ++i)
-            sub_ys[i] = ys_std_[sub[i]];
-        sp.ys_std = sub_ys.data();
-        std::vector<double> sub_xt;
-        if (!sp.isotropic) {
-            const size_t d = sp.dims;
-            sub_xt.resize(d * m_sub);
-            for (size_t i = 0; i < m_sub; ++i)
-                for (size_t k = 0; k < d; ++k)
-                    sub_xt[k * m_sub + i] = x_[sub[i]][k];
-            sp.x_t = sub_xt.data();
-        }
-
-        auto subset_obj = [&sp](const std::vector<double>& p) {
-            static thread_local FastLmlScratch scratch;
-            return fastNegLogMarginal(sp, p.data(), p.size(), scratch);
-        };
-
-        // Warm probe first: one Nelder-Mead descent from the last
-        // winning hyper-vector, simplex sized to the move that won it.
-        // It wins when it beats the subset objective at the current
-        // parameters; only a regression spends the restart budget.
-        // (The restart perturbations were already drawn above either
-        // way, so the caller's stream position never depends on which
-        // branch ran.)
-        std::vector<double> cand = start;
-        double cand_val;
-        bool have_cand = false;
-        const double base = subset_obj(start);
-        fit_stats_.probe_evals += 1;
-        if (warm_hyper_.size() == start.size()) {
-            opt::NmOptions wnm = nm;
-            wnm.initial_scale =
-                std::clamp(warm_scale_, 0.05, nm.initial_scale);
-            opt::NmResult wr =
-                opt::nelderMeadMinimize(subset_obj, warm_hyper_, wnm);
-            fit_stats_.probe_evals += uint64_t(wr.evaluations);
-            if (wr.value < base) {
-                fit_stats_.warm_hit = true;
-                cand = std::move(wr.x);
-                cand_val = wr.value;
-                have_cand = true;
-            }
-        }
-        if (!have_cand) {
-            auto make_subset_objective = [&sp](size_t) {
-                return std::function<double(const std::vector<double>&)>(
-                    [&sp](const std::vector<double>& p) {
-                        static thread_local FastLmlScratch scratch;
-                        return fastNegLogMarginal(sp, p.data(), p.size(),
-                                                  scratch);
-                    });
-            };
-            const std::vector<opt::NmResult> runs =
-                opt::nelderMeadMultiStart(make_subset_objective, starts, nm,
-                                          &globalPool());
-            cand_val = runs[0].f0;
-            for (const opt::NmResult& r : runs) {
-                fit_stats_.probe_evals += uint64_t(r.evaluations);
-                if (r.value < cand_val) {
-                    cand_val = r.value;
-                    cand = r.x;
-                    have_cand = true;
-                }
-            }
-        }
-        if (!have_cand) {
-            // Nothing beat the current parameters even on the subset;
-            // the model state already reflects them (subset probes are
-            // stateless), so keep the fit as is.
-            return logMarginalLikelihood();
-        }
-
-        // Full-fidelity guard: the subset ranked the candidate above
-        // the incumbent, but only the exact objective decides. A
-        // candidate that regresses the exact LML is discarded and the
-        // entry parameters re-applied (the probes never touched model
-        // state, but objective() below does, so the restore must run
-        // through it too).
-        const double entry_lml = logMarginalLikelihood();
-        const double final_neg = objective(cand);
-        if (!std::isfinite(final_neg) || -final_neg <= entry_lml) {
-            const double restored = objective(start);
-            CLITE_ASSERT(std::isfinite(restored),
-                         "entry hyper-parameters no longer evaluable");
-            // The persisted warm vector just lost at full fidelity;
-            // drop it so the next refit spends restarts again instead
-            // of trusting a stale simplex.
-            clearWarmStart();
-            return -restored;
-        }
-        fit_stats_.improved = true;
-        double step = 0.0;
-        for (size_t i = 0; i < cand.size(); ++i)
-            step = std::max(step, std::fabs(cand[i] - start[i]));
-        warm_hyper_ = cand;
-        warm_scale_ = std::clamp(step, 0.05, 0.5);
-        return -final_neg;
-    }
-
     FastLmlProblem problem;
     problem.n = x_.size();
     problem.dims = kernel_->dims();
     problem.isotropic = kernel_->isotropic();
-    problem.fit_noise = fit_noise;
-    problem.form = form;
-    problem.noise_variance = noise_variance_;
+    problem.form = radialFormFor(kernel_->name());
     problem.pair_sqdist = pair_sqdist_.data();
     problem.ys_std = ys_std_.data();
     // ARD: dimension-major copy of the training panel, built once
@@ -765,7 +567,6 @@ GaussianProcess::optimizeHyperparameters(Rng& rng,
             improved = true;
         }
     }
-    fit_stats_.improved = improved;
 
     // When no run strictly beat the start, the winner IS the current
     // hyper-parameters — and the model state still reflects them

@@ -58,35 +58,15 @@ struct GpFitOptions
 {
     int restarts = 2;          ///< Extra random restarts beyond current.
     int max_iters = 80;        ///< Nelder-Mead iterations per restart.
-    bool fit_noise = true;     ///< Also optimize the noise variance.
 };
 
 /**
- * History size at which hyper-fit probes switch to the subset tier:
- * from it on, Nelder-Mead probes rank hyper-vectors by the LML of a
- * deterministic, score-stratified subset of kSubsetSize training
- * points and only the winner is re-evaluated (and the model refit)
- * through the exact O(n³) objective. Below it every probe sees the
- * full history.
- */
-constexpr size_t kSubsetThreshold = 96;
-/** Training points in the subset tier's probe problem. */
-constexpr size_t kSubsetSize = 64;
-static_assert(kSubsetSize >= 2 && kSubsetSize < kSubsetThreshold,
-              "the probe subset must be a strict subset of the history");
-
-/**
  * What the last optimizeHyperparameters() call actually did — the
- * observability hook behind ControllerResult's refit counters, so
- * cadence/subset regressions show up in printed stats instead of a
- * profiler.
+ * observability hook behind ControllerResult's refit counters.
  */
 struct GpFitStats
 {
     uint64_t probe_evals = 0; ///< Objective evaluations spent on probes.
-    bool subset_used = false; ///< Probes ranked on the subset tier.
-    bool warm_hit = false;    ///< Warm simplex won; restarts skipped.
-    bool improved = false;    ///< Winner strictly beat the start point.
 };
 
 /**
@@ -196,7 +176,7 @@ class GaussianProcess
     double logMarginalLikelihood() const;
 
     /**
-     * Optimize kernel (and optionally noise) hyper-parameters by
+     * Optimize the kernel hyper-parameters and the noise variance by
      * maximizing the log marginal likelihood with Nelder-Mead plus
      * random restarts, then refit.
      *
@@ -210,19 +190,6 @@ class GaussianProcess
 
     /** Stats of the most recent optimizeHyperparameters() call. */
     const GpFitStats& lastFitStats() const { return fit_stats_; }
-
-    /**
-     * Seed (or overwrite) the persisted warm-start hyper-vector the
-     * subset tier probes first. Exposed for tests and benchmarks; the
-     * production path persists the winner of each refit on its own.
-     * Pass the full probe vector (kernel log-params, plus log noise
-     * when fitting noise). @p scale is the initial simplex scale of
-     * the warm probe.
-     */
-    void seedWarmStart(std::vector<double> hyper, double scale);
-
-    /** Drop any persisted warm-start state. */
-    void clearWarmStart();
 
   private:
     /** Rebuild the Cholesky and α for current data + hyper-parameters. */
@@ -239,12 +206,6 @@ class GaussianProcess
 
     /** Per-dimension 1/ℓ_d² under the current kernel parameters. */
     std::vector<double> inverseSquaredLengthscales() const;
-
-    /**
-     * The @p m sample indices (ascending) the subset probe tier ranks
-     * hyper-vectors on: one seed-stable pick per score stratum.
-     */
-    std::vector<size_t> probeSubsetIndices(size_t m) const;
 
     /** Scaled distance of cached pair @p pair given 1/ℓ². */
     double cachedScaledDistance(size_t pair,
@@ -291,16 +252,6 @@ class GaussianProcess
 
     /** Gram scratch reused across refits (hyper-fit probes). */
     linalg::Matrix gram_;
-
-    /**
-     * Cross-refit warm start: the last winning probe vector and the
-     * simplex scale of the move that won it. The next subset-tier
-     * search probes from here first and spends its restarts only when
-     * that warm probe regresses below the current-parameter baseline.
-     * Cleared when the parameter count changes (kernel swap).
-     */
-    std::vector<double> warm_hyper_;
-    double warm_scale_ = 0.0;
 
     GpFitStats fit_stats_;
 };

@@ -14,6 +14,7 @@ namespace {
 
 constexpr double kFTol = 1e-8; ///< Stop when the simplex f-spread is below.
 constexpr double kXTol = 1e-8; ///< Stop when the simplex diameter is below.
+constexpr double kInitialScale = 0.5; ///< Initial simplex edge length.
 
 } // namespace
 
@@ -30,7 +31,7 @@ nelderMeadMinimize(
     // Initial simplex: x0 plus one vertex per axis.
     std::vector<std::vector<double>> simplex(n + 1, x0);
     for (size_t i = 0; i < n; ++i) {
-        double delta = options.initial_scale;
+        double delta = kInitialScale;
         if (x0[i] != 0.0)
             delta *= std::fabs(x0[i]);
         simplex[i + 1][i] += delta;

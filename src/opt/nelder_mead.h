@@ -24,8 +24,7 @@ namespace opt {
 /** Tuning knobs for Nelder-Mead. */
 struct NmOptions
 {
-    int max_iters = 200;        ///< Maximum simplex iterations.
-    double initial_scale = 0.5; ///< Initial simplex edge length.
+    int max_iters = 200; ///< Maximum simplex iterations.
 };
 
 /** Result of a minimization run. */

@@ -87,7 +87,6 @@ describe(const Fleet& fleet, const AsyncFleetEngine& engine)
         << " degraded_dispatches=" << m.degraded_dispatches
         << " stalled=" << (m.stalled ? 1 : 0) << "\n";
     out << "search refits=" << m.refits << " probe_evals=" << m.probe_evals
-        << " warm_probe_hits=" << m.warm_probe_hits
         << " coarse_windows=" << m.coarse_windows << "\n";
     out << "qos qos_windows=" << m.qos_windows
         << " violating=" << m.violating_windows

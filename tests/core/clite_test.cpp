@@ -163,6 +163,38 @@ TEST(Clite, ReoptimizeSeedsWithIncumbent)
     EXPECT_TRUE(second.feasible);
 }
 
+TEST(Clite, ReoptimizeFromTheServersOwnAllocation)
+{
+    // The search's first apply() replaces the allocation the server
+    // holds, so passing currentAllocation() itself must search exactly
+    // like passing a copy of it.
+    const std::vector<workloads::JobSpec> jobs = {
+        workloads::lcJob("img-dnn", 0.4), workloads::lcJob("memcached", 0.3),
+        workloads::bgJob("swaptions")};
+    auto own = makeServer(jobs);
+    auto twin = makeServer(jobs);
+    CliteOptions o = fastOptions();
+    o.max_iterations = 6;
+    CliteController clite(o);
+    clite.run(own);
+    clite.run(twin);
+
+    ControllerResult a = clite.reoptimize(own, own.currentAllocation());
+    const platform::Allocation copy = twin.currentAllocation();
+    ControllerResult b = clite.reoptimize(twin, copy);
+
+    ASSERT_EQ(a.trace.size(), b.trace.size());
+    for (size_t i = 0; i < a.trace.size(); ++i) {
+        EXPECT_TRUE(a.trace[i].alloc == b.trace[i].alloc) << "sample " << i;
+        EXPECT_EQ(a.trace[i].score, b.trace[i].score) << "sample " << i;
+    }
+    EXPECT_TRUE(a.trace[0].alloc == copy);
+    ASSERT_TRUE(a.best.has_value());
+    ASSERT_TRUE(b.best.has_value());
+    EXPECT_TRUE(*a.best == *b.best);
+    EXPECT_EQ(a.best_score, b.best_score);
+}
+
 TEST(Clite, AblationsRunEndToEnd)
 {
     for (auto tweak : {0, 1, 2, 3}) {

@@ -108,17 +108,27 @@ TEST(CoarseSearch, AnalyticBackendRefusesBudgetAndIsBitIdentical)
 
 TEST(CoarseSearch, RefitCountersAreFilled)
 {
-    auto server = makeAnalyticServer({workloads::lcJob("img-dnn", 0.3),
-                                      workloads::bgJob("streamcluster")});
-    CliteController controller(fastOptions());
-    ControllerResult result = controller.run(server);
-    // The historical cadence refits at iteration 0, so any completed
-    // search performed at least one refit and burnt probe evals.
-    EXPECT_GE(result.refits, 1u);
-    EXPECT_GT(result.probe_evals, 0u);
-    // Small-history searches never reach the subset tier, so the warm
-    // simplex never engages here.
-    EXPECT_EQ(result.warm_probe_hits, 0u);
+    // With the EI termination and the polish phase off, a search runs
+    // all n BO iterations and refits the hyper-parameters at
+    // iterations 0, 3, 6, ...: ceil(n / 3) refits.
+    for (int n : {1, 3, 4, 7, 10}) {
+        SCOPED_TRACE(n);
+        auto server =
+            makeAnalyticServer({workloads::lcJob("img-dnn", 0.3),
+                                workloads::bgJob("streamcluster")});
+        CliteOptions o = fastOptions();
+        o.max_iterations = n;
+        o.polish_iterations = 0;
+        o.termination_threshold = 0.0;
+        CliteController controller(o);
+        ControllerResult result = controller.run(server);
+        // Equal share and one extremum per job, then one probe per
+        // BO iteration.
+        ASSERT_EQ(result.trace.size(), size_t(3 + n));
+        EXPECT_EQ(result.refits, uint64_t((n + 2) / 3));
+        EXPECT_GT(result.probe_evals, 0u);
+        EXPECT_EQ(result.warm_probe_hits, 0u);
+    }
 }
 
 } // namespace

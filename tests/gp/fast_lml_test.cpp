@@ -62,7 +62,6 @@ struct ProblemData
         problem.n = n;
         problem.dims = d;
         problem.isotropic = isotropic;
-        problem.fit_noise = true;
         problem.form = form;
         problem.pair_sqdist = sqd.data();
         problem.x_t = x_t.data();

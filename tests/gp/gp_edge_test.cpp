@@ -83,25 +83,6 @@ TEST(GpEdge, TinyTargetSpreadStable)
     EXPECT_NEAR(p.mean, 0.5, 1e-6);
 }
 
-TEST(GpEdge, HyperFitWithoutNoiseOptimization)
-{
-    Rng rng(3);
-    GaussianProcess gp(std::make_unique<Matern52Kernel>(1, 0.5, 1.0),
-                       1e-3);
-    std::vector<linalg::Vector> x;
-    std::vector<double> y;
-    for (double t = 0.0; t <= 1.0; t += 0.1) {
-        x.push_back({t});
-        y.push_back(t * t);
-    }
-    gp.fit(x, y);
-    GpFitOptions o;
-    o.fit_noise = false;
-    double before_noise = gp.noiseVariance();
-    gp.optimizeHyperparameters(rng, o);
-    EXPECT_DOUBLE_EQ(gp.noiseVariance(), before_noise);
-}
-
 TEST(GpEdge, MoveSemantics)
 {
     GaussianProcess a(std::make_unique<Matern52Kernel>(1, 0.5, 1.0),
