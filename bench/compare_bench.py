@@ -16,7 +16,11 @@ is the same comparison hardened for the committed component baseline
 a candidate produced by a non-Release build — a ".DEBUG"-stamped file
 name or a `clite_build_type` context other than "release" — fails the
 run outright instead of warning, so a debug JSON can never slip in as
-the baseline. `--mode warmstart`
+the baseline. The benchmarks whose absolute times swing run to run
+(the coarse DES window, the parallel acquisition rounds) are judged
+by a within-run ratio to their twin instead (COMPONENT_RATIOS): the
+ratio is printed for both files, and a move past the threshold either
+way warns. `--mode warmstart`
 compares two bench/warm_start emissions (BENCH_warmstart.json)
 instead: it checks that warm starts still converge no slower than the
 committed baseline and that the exact-hit improvement over cold stays
@@ -74,6 +78,60 @@ COMPONENT_FAMILIES = DEFAULT_FAMILIES + ["hyperparameterprobe",
                                          "predictscalar",
                                          "projectedgradient",
                                          "clitefullsearch"]
+
+
+# Within-run ratios `--mode components` reads in place of the
+# numerator's absolute time: (numerator, denominator) benchmark names,
+# matched per argument (BM_AcquisitionRoundParallel/16 against
+# BM_AcquisitionRoundSerial/16). Both halves ran in the same process,
+# so host speed and run-to-run drift cancel, where the numerators'
+# absolute times swing by ±20% (the DES) to 2–4× (the pool rounds)
+# between runs of one binary.
+COMPONENT_RATIOS = [
+    ("BM_DesModelMeasureCoarse", "BM_DesModelMeasureHighRate"),
+    ("BM_AcquisitionRoundParallel", "BM_AcquisitionRoundSerial"),
+    ("BM_AcquisitionRoundBatchedParallel", "BM_AcquisitionRoundBatched"),
+]
+
+
+def ratio_pairs(times):
+    """{(numerator, denominator): ratio} for every COMPONENT_RATIOS pair
+    present in @p times, per argument suffix."""
+    out = {}
+    for name, t in times.items():
+        base, slash, arg = name.partition("/")
+        for num, den in COMPONENT_RATIOS:
+            other = den + slash + arg
+            if base == num and other in times and times[other] > 0:
+                out[(name, other)] = t / times[other]
+    return out
+
+
+def compare_ratios(base, cand, threshold):
+    """Print the within-run ratios of both files; return
+    (regressions, moves): ratios that rose past @p threshold times the
+    baseline's, and every ratio that moved past it either way."""
+    base_r, cand_r = ratio_pairs(base), ratio_pairs(cand)
+    common = sorted(set(base_r) & set(cand_r))
+    regressions, moves = [], []
+    if not common:
+        return regressions, moves
+    width = max(len(f"{n} / {d}") for n, d in common)
+    print(f"\n{'within-run ratio':<{width}}  {'base':>7}  {'cand':>7}  move")
+    for pair in common:
+        b, c = base_r[pair], cand_r[pair]
+        move = c / b if b > 0 else float("inf")
+        flag = ""
+        if move > threshold:
+            regressions.append((pair, b, c))
+            flag = "  <-- REGRESSION"
+        elif move < 1.0 / threshold:
+            flag = "  <-- FELL"
+        if flag:
+            moves.append((pair, b, c))
+        label = f"{pair[0]} / {pair[1]}"
+        print(f"{label:<{width}}  {b:>7.3f}  {c:>7.3f}  {move:5.2f}{flag}")
+    return regressions, moves
 
 
 def load_benchmarks(path):
@@ -481,12 +539,16 @@ def main():
     for name in only_cand:
         print(f"  (candidate only) {name}")
 
+    # Components mode judges each ratio numerator by its ratio alone.
+    ratio_judged = ({num for num, _ in COMPONENT_RATIOS}
+                    if args.mode == "components" else set())
     width = max(len(n) for n in common)
     print(f"{'benchmark':<{width}}  {'base':>12}  {'cand':>12}  ratio")
     regressions = []
     for name in common:
         ratio = cand[name] / base[name] if base[name] > 0 else float("inf")
-        watched = any(f in name.lower() for f in families)
+        watched = (any(f in name.lower() for f in families)
+                   and name.partition("/")[0] not in ratio_judged)
         flag = ""
         if watched and ratio > args.threshold:
             regressions.append((name, ratio))
@@ -494,9 +556,21 @@ def main():
         print(f"{name:<{width}}  {base[name]:>10.0f}ns  "
               f"{cand[name]:>10.0f}ns  {ratio:5.2f}{flag}")
 
+    ratio_regressions, ratio_moves = [], []
+    if args.mode == "components":
+        ratio_regressions, ratio_moves = compare_ratios(base, cand,
+                                                        args.threshold)
     for name, ratio in regressions:
         print(f"::warning::perf regression: {name} is {ratio:.2f}x the "
               f"committed baseline (threshold {args.threshold:.2f}x)")
+    for (num, den), b, c in ratio_moves:
+        kind = ("perf regression" if c > b else
+                "ratio fell (a gain, or the denominator slowed; "
+                "regenerate the baseline if intended)")
+        print(f"::warning::{kind}: {num} / {den} moved {b:.3f} -> "
+              f"{c:.3f} (threshold {args.threshold:.2f}x)")
+    regressions += [(f"{num} / {den}", c / b)
+                    for (num, den), b, c in ratio_regressions]
     if regressions:
         print(f"{len(regressions)} regression(s) in watched families "
               f"({', '.join(families)})", file=sys.stderr)

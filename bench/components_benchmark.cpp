@@ -472,10 +472,12 @@ BENCHMARK(BM_DesModelMeasureHighRate)->Unit(benchmark::kMicrosecond);
  * The BM_DesModelMeasureHighRate window under the coarse event budget
  * (2000 measured requests per LC window: the accuracy/latency trade
  * documented in docs/MODEL.md and pinned by
- * tests/sim/queueing_budget_test.cpp). The budget shortens only the
- * measured span; the warm-up is simulated in full, so the ratio to
- * BM_DesModelMeasureHighRate is the most a coarse probe can save at
- * this rate. Fails if the budget stops binding.
+ * tests/sim/queueing_budget_test.cpp). The station is below the knee,
+ * so the window starts in the stationary state and simulates no
+ * warm-up: it simulates about 2000 requests against the fine window's
+ * 72k, and the ratio to BM_DesModelMeasureHighRate (a within-run ratio
+ * the component gate reads) is what a coarse probe saves at this
+ * rate. Fails if the budget stops binding.
  */
 void
 BM_DesModelMeasureCoarse(benchmark::State& state)

@@ -496,7 +496,9 @@ OnlineManager::tick()
 
     // Load drift: compare each LC job's observed completion rate to
     // the rate the incumbent was optimized for. (Completions track
-    // offered load while the job is unsaturated; when it IS saturated
+    // offered load: a DES window below the knee counts its arrivals,
+    // at or above it its departures, and either way the expectation
+    // is λ·window while the job is unsaturated; when it IS saturated
     // the QoS check fires first.)
     bool drifting = false;
     for (size_t j = 0; j < obs.size(); ++j) {

@@ -1,10 +1,13 @@
 #include "sim/queueing.h"
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
 #include <span>
 #include <vector>
 
 #include "common/error.h"
+#include "stats/distributions.h"
 
 namespace clite {
 namespace sim {
@@ -99,30 +102,101 @@ struct StationScratch
 thread_local StationScratch t_scratch;
 
 /**
+ * Walk the counts of Poisson(a) truncated to [0, c) outward from the
+ * mode m: m, m + 1, ..., c − 1, then m − 1, ..., 0, each with its weight
+ * a^n/n! relative to the mode's, so all lie in [0, 1]; a side stops
+ * where its weights underflow to 0. Returns the first count for which
+ * @p stop(weight) is true, or m if none is.
+ */
+template <typename Stop>
+int
+walkFromMode(int servers, double a, Stop&& stop)
+{
+    const int mode = int(std::min(std::floor(a), double(servers - 1)));
+    if (stop(1.0))
+        return mode;
+    double w = 1.0;
+    for (int n = mode + 1; n < servers && w > 0.0; ++n)
+        if (stop(w *= a / double(n)))
+            return n;
+    w = 1.0;
+    for (int n = mode; n > 0 && w > 0.0; --n)
+        if (stop(w *= double(n) / a))
+            return n - 1;
+    return mode;
+}
+
+/** Inverse at @p u in [0, 1) of Poisson(a) truncated to [0, c), over
+ *  the order walkFromMode() visits. */
+int
+truncatedPoisson(int servers, double a, double u)
+{
+    double total = 0.0;
+    walkFromMode(servers, a, [&](double w) {
+        total += w;
+        return false;
+    });
+    const double target = u * total;
+    double acc = 0.0;
+    return walkFromMode(servers, a,
+                        [&](double w) { return target < (acc += w); });
+}
+
+/** The server that falls idle first, the lowest index among ties. */
+int
+earliestFree(const double* free_at, int servers)
+{
+    int first = 0;
+    for (int i = 1; i < servers; ++i)
+        if (free_at[i] < free_at[first])
+            first = i;
+    return first;
+}
+
+/**
  * The M/M/c station as an FCFS recursion (Kiefer & Wolfowitz, 1955).
  * Under FCFS on identical servers the k-th arrival is the k-th request
  * to start service, and it takes the server that falls idle first, so
  * the c times at which the servers next fall idle are the whole queue
  * state: request k starts at max(arrival, earliest free time) and holds
- * that server until start + service. Each request draws its
- * interarrival gap and then its service time, in arrival order; the
- * first gap past the end of the window is drawn and ends the loop.
- * Responses are recorded in arrival order when the departure falls in
- * (warmup, warmup + span]. Every draw comes from one RngLookahead,
- * which moves @p rng to exactly the consumed position before the window
- * is summarized. Both draws divide a unit exponential by their rate, as
+ * that server until start + service. Below the knee the servers start
+ * with the busy periods of a stationary state and every arrival is
+ * measured; at or above it they start idle and a response is measured
+ * when its departure falls in (warmup, warmup + span]. Draws follow
+ * the order measureStation() documents, from one RngLookahead, which
+ * moves @p rng to exactly the consumed position before the window is
+ * summarized. Every draw divides a unit exponential by its rate, as
  * Rng::exponential does; the caller has validated both rates, so no
  * draw re-checks one.
  */
 TailMeasurement
-runStationLoop(int servers, double arrival_rate, double service_rate,
+runStationLoop(int servers, double arrival_rate, double mean_service,
                double warmup, double span, Rng& rng)
 {
     StationScratch& scratch = t_scratch;
     scratch.free_at.assign(size_t(servers), 0.0);
     double* free_at = scratch.free_at.data();
+    const double service_rate = 1.0 / mean_service;
     RngLookahead draws(rng);
-    const double end = warmup + span;
+
+    const double offered_load = arrival_rate * mean_service;
+    double end = warmup + span;
+    double record_after = warmup, record_until = end;
+    if (offered_load / double(servers) < kRhoKnee) {
+        const double e_branch = draws.unitExponential();
+        const double e_count = draws.unitExponential();
+        const StationOccupancy start =
+            stationaryOccupancy(servers, offered_load, e_branch, e_count);
+        for (int i = 0; i < start.busy; ++i)
+            free_at[i] = draws.unitExponential() / service_rate;
+        for (uint64_t k = 0; k < start.waiting; ++k)
+            free_at[earliestFree(free_at, servers)] +=
+                draws.unitExponential() / service_rate;
+        end = span;
+        record_after = -std::numeric_limits<double>::infinity();
+        record_until = std::numeric_limits<double>::infinity();
+    }
+
     double arrival = 0.0;
     for (;;) {
         arrival += draws.unitExponential() / arrival_rate;
@@ -130,15 +204,13 @@ runStationLoop(int servers, double arrival_rate, double service_rate,
             break;
         const double service = draws.unitExponential() / service_rate;
         CLITE_ASSERT(service >= 0.0, "negative service time sampled");
-        int first = 0;
-        for (int i = 1; i < servers; ++i)
-            if (free_at[i] < free_at[first])
-                first = i;
+        const int first = earliestFree(free_at, servers);
         const double departure = std::max(arrival, free_at[first]) + service;
         free_at[first] = departure;
-        // Warm-up responses are discarded at t == warmup, so only
-        // strictly later departures are measured.
-        if (departure > warmup && departure <= end)
+        // At or above the knee, warm-up responses are discarded at
+        // t == warmup, so only strictly later departures are measured;
+        // below it both bounds are infinite.
+        if (departure > record_after && departure <= record_until)
             scratch.response.push_back(departure - arrival);
     }
     draws.commit();
@@ -231,12 +303,27 @@ measureStation(int servers, double arrival_rate, double mean_service,
     // once per draw.
     CLITE_CHECK(arrival_rate > 0.0,
                 "arrival rate must be positive, got " << arrival_rate);
-    const double service_rate = 1.0 / mean_service;
-    CLITE_CHECK(service_rate > 0.0,
+    CLITE_CHECK(1.0 / mean_service > 0.0,
                 "exponential service rate must be positive, got "
-                    << service_rate);
-    return runStationLoop(servers, arrival_rate, service_rate, warmup, span,
+                    << 1.0 / mean_service);
+    return runStationLoop(servers, arrival_rate, mean_service, warmup, span,
                           rng);
+}
+
+StationOccupancy
+stationaryOccupancy(int servers, double offered_load, double e_branch,
+                    double e_count)
+{
+    const double rho = offered_load / double(servers);
+    CLITE_CHECK(servers >= 1 && rho >= 0.0 && rho < kRhoKnee,
+                "no stationary occupancy at " << servers
+                                              << " servers, utilization "
+                                              << rho);
+    // 1 - exp(-E) of a unit exponential E is uniform on [0, 1).
+    if (-std::expm1(-e_branch) < stats::erlangC(servers, offered_load))
+        return {servers, uint64_t(e_count / -std::log(rho))};
+    return {truncatedPoisson(servers, offered_load, -std::expm1(-e_count)),
+            0};
 }
 
 void

@@ -16,12 +16,16 @@
  * Wolfowitz): under FCFS on identical servers the k-th arrival is the
  * k-th request to start service, so the c times at which the servers
  * next fall idle are the whole queue state, and there is no event
- * queue. Draw order: each request draws its interarrival gap and then
- * its service time, in arrival order, from the caller's Rng (through an
- * RngLookahead, so the draws leave the recursion's dependency chain);
- * the first gap that lands past the window is drawn and ends the
- * window. The loop reuses thread-local buffers across calls, so a
- * QueueingSimModel window allocates nothing in steady state.
+ * queue. Below the knee (utilization ρ = λ·mean_service/c under
+ * kRhoKnee) a window starts in a state drawn from the M/M/c stationary
+ * law, the state the paper's window finds on a server that is already
+ * running, and measures every request that arrives in it; at or above
+ * the knee no stationary law exists, so the window starts empty and
+ * simulates a warm-up first. Every draw is a unit exponential from the
+ * caller's Rng, taken through an RngLookahead so the draws leave the
+ * recursion's dependency chain; the order is spelled out at
+ * measureStation(). The loop reuses thread-local buffers across calls,
+ * so a QueueingSimModel window allocates nothing in steady state.
  * tests/sim/ keeps an event-driven simulation of the same queue, with
  * the same draw order, as the oracle, and pins every result field and
  * the RNG end state, Box-Muller cache included, against it, bit for
@@ -40,14 +44,47 @@
 namespace clite {
 namespace sim {
 
+/**
+ * Utilization ρ = λ·mean_service/c at and above which an M/M/c station
+ * is treated as overloaded: its stationary law is missing (ρ >= 1) or
+ * too slow to mix for a window to see it. measureStation() starts such
+ * a station empty and simulates the warm-up, and
+ * workloads::closedFormMeasure() extrapolates linearly from the knee.
+ */
+constexpr double kRhoKnee = 0.995;
+
+/** The number of requests at an M/M/c station at one instant. */
+struct StationOccupancy
+{
+    int busy = 0;         ///< Servers in service (all c when any waits).
+    uint64_t waiting = 0; ///< Requests in the line.
+};
+
+/**
+ * The stationary occupancy of an M/M/c station with @p offered_load
+ * a = λ·mean_service below kRhoKnee·c, by inversion of two unit
+ * exponentials. With probability stats::erlangC(c, a) (@p e_branch
+ * decides) all c servers are busy and the line holds
+ * ⌊@p e_count / −ln ρ⌋ requests, a Geometric(1 − ρ) count; otherwise
+ * the line is empty and the busy count is Poisson(a) truncated to
+ * [0, c), inverted at @p e_count over the counts taken outward from
+ * the mode (m, m + 1, ..., c − 1, then m − 1, ..., 0). Each weight is
+ * a^n/n! relative to the mode's, built by the ratio recursion
+ * t(n + 1) = t(n)·a/(n + 1), so none exceeds 1 or overflows at any c.
+ *
+ * @throws clite::Error when c < 1 or ρ = a/c is not in [0, kRhoKnee).
+ */
+StationOccupancy stationaryOccupancy(int servers, double offered_load,
+                                     double e_branch, double e_count);
+
 /** Result of a windowed tail-latency measurement. */
 struct TailMeasurement
 {
     double p95 = 0.0;      ///< 95th-percentile response time (seconds).
     double p99 = 0.0;      ///< 99th-percentile response time (seconds).
     double mean = 0.0;     ///< Mean response time (seconds).
-    size_t completed = 0;  ///< Requests completed in the window.
-    double throughput = 0.0; ///< Completions per second in the window.
+    size_t completed = 0;  ///< Requests measured in the window.
+    double throughput = 0.0; ///< Measured requests per second.
 };
 
 /**
@@ -70,16 +107,39 @@ double effectiveWindow(double window, double arrival_rate,
                        uint64_t event_budget);
 
 /**
- * Simulate an M/M/c station for @p warmup + @p window seconds and
- * summarize the measured window (the paper's two-second observation
- * period). Every argument is validated up front, before the zero-load
- * early return.
+ * Measure an M/M/c station over one observation window (the paper's
+ * two-second period). Every argument is validated up front, before the
+ * zero-load early return.
+ *
+ * Below the knee (ρ < kRhoKnee) the window starts at t = 0 in a
+ * stationary state and measures every request that arrives in
+ * (0, span], each at departure − arrival; by PASTA each one is a
+ * stationary sample, and @p warmup is not read. At or above the knee
+ * the window starts empty at t = 0, simulates @p warmup seconds first
+ * and measures the requests that depart in (warmup, warmup + span].
+ * Here span = effectiveWindow(window, λ, event_budget).
+ *
+ * Draw order, every draw a unit exponential E (Rng::exponential(1.0)
+ * has the same bits); a service time is E / μ with μ = 1 / mean_service,
+ * the bits Rng::exponential(μ) returns:
+ *  1. below the knee only, the start state: the branch draw and the
+ *     count draw of stationaryOccupancy(); then one residual service
+ *     time for each busy server, servers 0, 1, ... in order (service
+ *     is memoryless); then one service time for each waiting request,
+ *     in line order, which starts when the earliest-free server (the
+ *     lowest index among ties) falls idle. No waiting request is
+ *     measured;
+ *  2. then, for each request in arrival order from t = 0, its
+ *     interarrival gap and then its service time; it starts at
+ *     max(arrival, earliest server-free time). The first gap that
+ *     lands past the window is drawn and ends the window.
  *
  * @param servers Number of servers c (>= 1).
  * @param arrival_rate Offered load λ (requests/second, >= 0).
  * @param mean_service Mean of the exponential service time (seconds,
  *     > 0).
- * @param warmup Transient to discard (seconds).
+ * @param warmup Transient simulated and discarded at or above the
+ *     knee (seconds).
  * @param window Measured window (seconds, > 0).
  * @param rng Randomness.
  * @param event_budget Cap on the expected number of measured requests;

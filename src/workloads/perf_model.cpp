@@ -20,9 +20,10 @@ constexpr double kMaxBwStall = 8.0;
 constexpr double kPagePenalty = 3.0;
 /// Ceiling on the paging multiplier.
 constexpr double kMaxPaging = 20.0;
-/// Utilization beyond which the analytic LC model switches to the
-/// linear overload extrapolation (the closed form diverges at rho=1).
-constexpr double kRhoKnee = 0.995;
+/// Utilization from which the LC closed form switches to the linear
+/// overload extrapolation (it diverges at rho = 1); the DES starts its
+/// windows empty, with a warm-up, from the same knee.
+using sim::kRhoKnee;
 
 /** Miss-ratio curve of the profile at w allocated ways. */
 double

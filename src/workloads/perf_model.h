@@ -11,9 +11,10 @@
  *    the ORACLE brute-force sweeps (~1 µs per evaluation).
  *  - QueueingSimModel: the discrete-event simulator of sim/ replays
  *    the same M/M/c queue — exponential service draws at the derived
- *    mean service time, Poisson arrivals — over a warm-up +
- *    observation window (the paper's two-second measurement period)
- *    and reports the empirical p95.
+ *    mean service time, Poisson arrivals — over an observation window
+ *    (the paper's two-second measurement period) that starts in the
+ *    stationary state below the knee and after a warm-up at or above
+ *    it, and reports the empirical p95.
  *
  * Cost derivation per job given its allocation (cores c, ways w,
  * bandwidth units b, optional capacity/disk/net units):
@@ -158,7 +159,10 @@ class QueueingSimModel : public PerformanceModel
 {
   public:
     /**
-     * @param warmup_s Transient discarded before measuring.
+     * @param warmup_s Transient simulated and discarded before
+     *     measuring a station at or above the knee (sim::kRhoKnee);
+     *     below it a window starts in the stationary state and
+     *     simulates none.
      * @param window_s Measured window (the paper's observation period
      *     is two seconds).
      * @param event_budget Cap on the expected number of measured

@@ -4,8 +4,9 @@
  * production FCFS recursion, no event queue) must reproduce
  * measureStationReference (an event-driven simulation of the same
  * queue, QueueingStation on the pooled-heap Simulator,
- * reference_station.h) bit for bit — same RNG draw order, same
- * responses, same summary — across seeds and event budgets.
+ * reference_station.h) bit for bit — same RNG draw order, same start
+ * state, same responses, same summary — across seeds and event
+ * budgets, below the knee (stationary start) and above it (warm-up).
  * sim/queueing.h names this file as the pin for that contract, and for
  * the percentile selection matching a full-sort stats::percentile, on
  * small windows and on the large ones summarized from their top tail
@@ -87,26 +88,30 @@ expectMatchesOracle(int servers, double lambda, double mean_service,
  * With and without an event budget that binds, each with and without a
  * cached normal before the window: every summary field bit-identical
  * between the fast loop and the simulator-based reference, and both
- * RNG streams left in the same state. Ten seeds of a small station,
- * and two seeds each of stations at 5 000 and 30 000 requests/s and
- * the same 72% load, whose windows measure at least 4096 completions,
- * the size from which the window summary selects its percentiles from
- * the top tail only.
+ * RNG streams left in the same state. Ten seeds of a small station;
+ * two seeds each of stations at 5 000 and 30 000 requests/s and the
+ * same 72% load, whose windows measure at least 4096 completions, the
+ * size from which the window summary selects its percentiles from the
+ * top tail only; and ten seeds each of a one-server station near the
+ * knee (ρ 0.95), whose stationary start often holds a long line, and
+ * of one at ρ 1, which is past the knee and takes the warm-up path.
  */
 TEST(QueueingFastPath, BitIdenticalToReferenceAcrossSeeds)
 {
     struct Station
     {
+        int servers;
         double lambda;
         double mean_service;
         uint64_t binding_budget;
         uint64_t seeds;
         size_t min_completed;
     };
-    const Station stations[] = {{180.0, 0.012, 128, 10, 0},
-                                {5000.0, 4.32e-4, 5000, 2, 4096},
-                                {30000.0, 7.2e-5, 5000, 2, 4096}};
-    const int servers = 3;
+    const Station stations[] = {{3, 180.0, 0.012, 128, 10, 0},
+                                {3, 5000.0, 4.32e-4, 5000, 2, 4096},
+                                {3, 30000.0, 7.2e-5, 5000, 2, 4096},
+                                {1, 95.0, 0.01, 64, 10, 0},
+                                {1, 100.0, 0.01, 64, 10, 0}};
     const double warmup = 0.5, window = 1.5;
     for (const Station& st : stations) {
         ASSERT_LT(effectiveWindow(window, st.lambda, st.binding_budget),
@@ -114,9 +119,48 @@ TEST(QueueingFastPath, BitIdenticalToReferenceAcrossSeeds)
         for (uint64_t budget : {uint64_t(0), st.binding_budget})
             for (uint64_t seed = 1; seed <= st.seeds; ++seed)
                 for (bool primed : {false, true})
-                    expectMatchesOracle(servers, st.lambda, st.mean_service,
-                                        warmup, window, budget, seed, primed,
+                    expectMatchesOracle(st.servers, st.lambda,
+                                        st.mean_service, warmup, window,
+                                        budget, seed, primed,
                                         st.min_completed);
+    }
+}
+
+/**
+ * Below the knee a window starts in the stationary state and reads no
+ * warm-up, so its result and RNG end state do not depend on one; at
+ * or above the knee the warm-up is simulated, and a longer one moves
+ * the measured window.
+ */
+TEST(QueueingFastPath, WarmupIsReadOnlyAtOrAboveTheKnee)
+{
+    struct Station
+    {
+        int servers;
+        double lambda;
+        double mean_service;
+        bool below_knee;
+    };
+    for (Station st : {Station{3, 180.0, 0.012, true},
+                       Station{1, 95.0, 0.01, true},
+                       Station{1, 100.0, 0.01, false},
+                       Station{2, 250.0, 0.01, false}}) {
+        ASSERT_EQ(st.lambda * st.mean_service / st.servers < kRhoKnee,
+                  st.below_knee);
+        for (uint64_t seed = 1; seed <= 5; ++seed) {
+            Rng rng_short(seed);
+            Rng rng_long(seed);
+            TailMeasurement short_warmup = measureStation(
+                st.servers, st.lambda, st.mean_service, 0.5, 1.5, rng_short);
+            TailMeasurement long_warmup = measureStation(
+                st.servers, st.lambda, st.mean_service, 5.0, 1.5, rng_long);
+            const bool same =
+                std::memcmp(&short_warmup, &long_warmup,
+                            sizeof short_warmup) == 0 &&
+                rng_short.next() == rng_long.next();
+            EXPECT_EQ(same, st.below_knee)
+                << "lambda " << st.lambda << " seed " << seed;
+        }
     }
 }
 
@@ -161,16 +205,11 @@ TEST(QueueingFastPath, SelectedPercentilesMatchFullSort)
             TailMeasurement fast = measureStation(
                 servers, lambda, mean_service, warmup, window, rng_fast);
 
-            // Re-run the same measurement through the raw station to
-            // harvest the measured window's response times.
+            // Re-run the same measurement through the event-driven
+            // station to harvest the measured window's response times.
             Rng rng_raw(seed);
-            Simulator sim;
-            QueueingStation st(sim, servers, lambda, mean_service, rng_raw);
-            st.start();
-            sim.runUntil(warmup);
-            st.resetMeasurements();
-            sim.runUntil(warmup + window);
-            std::vector<double> responses = st.responseTimes();
+            std::vector<double> responses = referenceResponses(
+                servers, lambda, mean_service, warmup, window, rng_raw);
             ASSERT_EQ(responses.size(), fast.completed);
             ASSERT_GE(responses.size(), station.min_completed);
 

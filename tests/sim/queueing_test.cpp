@@ -8,6 +8,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
+#include <vector>
 
 #include "common/error.h"
 #include "common/rng.h"
@@ -92,6 +94,117 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(MmcCase{1, 0.3, 0.045}, MmcCase{1, 0.7, 0.075},
                       MmcCase{2, 0.5, 0.03}, MmcCase{4, 0.6, 0.015},
                       MmcCase{8, 0.8, 0.015}, MmcCase{10, 0.45, 0.01}));
+
+/**
+ * The start state follows the M/M/c stationary law: over many draws
+ * the busy-server count averages the offered load a (Little's law for
+ * the servers), all servers are busy with Erlang-C probability, and
+ * the line averages Erlang-C · ρ / (1 − ρ), each within four standard
+ * errors. Huge server counts stay finite and in range, and a station
+ * at or above the knee has no stationary occupancy to draw.
+ */
+TEST(QueueingStation, StationaryOccupancyFollowsTheMmcLaw)
+{
+    struct Case
+    {
+        int servers;
+        double offered_load;
+    };
+    const int draws = 200000;
+    for (Case c : {Case{1, 0.5}, Case{1, 0.95}, Case{3, 2.5}, Case{8, 4.0},
+                   Case{20, 19.5}, Case{200, 150.0}}) {
+        const double rho = c.offered_load / c.servers;
+        const double pq = stats::erlangC(c.servers, c.offered_load);
+        Rng rng(uint64_t(c.servers) * 1000 + uint64_t(rho * 100));
+        double busy = 0.0, busy2 = 0.0, full = 0.0, wait = 0.0, wait2 = 0.0;
+        for (int i = 0; i < draws; ++i) {
+            const double e_branch = rng.exponential(1.0);
+            const double e_count = rng.exponential(1.0);
+            StationOccupancy o = stationaryOccupancy(
+                c.servers, c.offered_load, e_branch, e_count);
+            ASSERT_GE(o.busy, 0);
+            ASSERT_LE(o.busy, c.servers);
+            ASSERT_TRUE(o.waiting == 0 || o.busy == c.servers);
+            busy += o.busy;
+            busy2 += double(o.busy) * o.busy;
+            full += o.busy == c.servers;
+            wait += double(o.waiting);
+            wait2 += double(o.waiting) * double(o.waiting);
+        }
+        auto se = [&](double sum, double sum2) {
+            const double mean = sum / draws;
+            return std::sqrt((sum2 / draws - mean * mean) / draws);
+        };
+        const std::string label = "c=" + std::to_string(c.servers) +
+                                  " a=" + std::to_string(c.offered_load);
+        EXPECT_NEAR(busy / draws, c.offered_load, 4.0 * se(busy, busy2))
+            << label;
+        EXPECT_NEAR(full / draws, pq,
+                    4.0 * std::sqrt(pq * (1.0 - pq) / draws))
+            << label;
+        EXPECT_NEAR(wait / draws, pq * rho / (1.0 - rho),
+                    4.0 * se(wait, wait2) + 1e-12)
+            << label;
+    }
+    EXPECT_THROW(stationaryOccupancy(1, kRhoKnee, 1.0, 1.0), Error);
+    EXPECT_THROW(stationaryOccupancy(2, 3.0, 1.0, 1.0), Error);
+    EXPECT_THROW(stationaryOccupancy(0, 0.5, 1.0, 1.0), Error);
+    for (int servers : {100000, 1000000}) {
+        for (double rho : {1e-6, 0.5, 0.99}) {
+            for (double e : {0.0, 0.7, 40.0}) {
+                StationOccupancy o =
+                    stationaryOccupancy(servers, rho * servers, e, e);
+                EXPECT_GE(o.busy, 0);
+                EXPECT_LE(o.busy, servers);
+            }
+        }
+    }
+}
+
+/**
+ * Windows near the knee read the stationary mean response: one server
+ * at ρ 0.95 with 10 ms mean service (a stationary mean of 200 ms), over
+ * 2000 windows of a 64-request budget, each starting in its own
+ * stationary state. The responses are pooled, Σ mean·completed /
+ * Σ completed: a per-window mean divides two random sums and reads
+ * low. Each window is independent, so it serves as one batch of a
+ * batch-means standard error, and the tolerance is four of those. A
+ * window that starts empty after a 1 s warm-up reads about half the
+ * stationary mean here, because at this load the queue relaxes on a
+ * time scale of 1/(μ(1 − √ρ)²), about 16 s.
+ */
+TEST(QueueingStation, PooledMeanResponseNearTheKneeIsStationary)
+{
+    const double mean_service = 0.01, rho = 0.95;
+    const double lambda = rho / mean_service;
+    const int windows = 2000;
+    std::vector<double> sums, counts;
+    double total_sum = 0.0, total_count = 0.0;
+    for (uint64_t seed = 1; seed <= uint64_t(windows); ++seed) {
+        Rng rng(seed);
+        TailMeasurement m =
+            measureStation(1, lambda, mean_service, 1.0, 2.0, rng, 64);
+        sums.push_back(m.mean * double(m.completed));
+        counts.push_back(double(m.completed));
+        total_sum += sums.back();
+        total_count += counts.back();
+    }
+    const double pooled = total_sum / total_count;
+    double var = 0.0;
+    for (int w = 0; w < windows; ++w) {
+        const double dev = sums[size_t(w)] - pooled * counts[size_t(w)];
+        var += dev * dev;
+    }
+    var /= double(windows - 1);
+    const double se =
+        std::sqrt(var / windows) / (total_count / double(windows));
+    const double expect =
+        stats::mmcMeanResponse(1, lambda, 1.0 / mean_service);
+    // The test can tell a biased window from an unbiased one.
+    EXPECT_LT(se, 0.05 * expect);
+    EXPECT_NEAR(pooled, expect, 4.0 * se)
+        << "pooled mean " << pooled << " standard error " << se;
+}
 
 TEST(QueueingStation, OverloadGrowsLatency)
 {

@@ -24,6 +24,20 @@ QueueingStation::QueueingStation(Simulator& simulator, int servers,
 }
 
 void
+QueueingStation::preload(int busy, uint64_t waiting)
+{
+    CLITE_CHECK(busy_ == 0 && arrivals_ == 0 && busy <= servers_,
+                "preload needs an idle station and at most c busy servers");
+    for (int i = 0; i < busy; ++i)
+        beginService(Request{0, 0.0, rng_.exponential(1.0 / mean_service_),
+                             false});
+    for (uint64_t k = 0; k < waiting; ++k)
+        waiting_.push_back(Request{0, 0.0,
+                                   rng_.exponential(1.0 / mean_service_),
+                                   false});
+}
+
+void
 QueueingStation::start()
 {
     if (arrival_rate_ <= 0.0)
@@ -56,6 +70,8 @@ QueueingStation::responseTimesInArrivalOrder() const
 void
 QueueingStation::onArrival()
 {
+    if (closed_)
+        return;
     // The request's own service time first, then the gap to the next
     // arrival (renewal process): one gap and one service per request,
     // in arrival order.
@@ -81,13 +97,42 @@ void
 QueueingStation::onDeparture(const Request& request)
 {
     --busy_;
-    response_.push_back(sim_.now() - request.arrival);
-    response_index_.push_back(request.index);
+    if (request.measured) {
+        response_.push_back(sim_.now() - request.arrival);
+        response_index_.push_back(request.index);
+    }
     if (!waiting_.empty()) {
         Request next = waiting_.front();
         waiting_.pop_front();
         beginService(next);
     }
+}
+
+std::vector<double>
+referenceResponses(int servers, double arrival_rate, double mean_service,
+                   double warmup, double span, Rng& rng)
+{
+    Simulator simulator;
+    QueueingStation station(simulator, servers, arrival_rate, mean_service,
+                            rng);
+    const double offered_load = arrival_rate * mean_service;
+    if (arrival_rate > 0.0 && offered_load / double(servers) < kRhoKnee) {
+        const double e_branch = rng.exponential(1.0);
+        const double e_count = rng.exponential(1.0);
+        const StationOccupancy start =
+            stationaryOccupancy(servers, offered_load, e_branch, e_count);
+        station.preload(start.busy, start.waiting);
+        station.start();
+        simulator.runUntil(span);
+        station.closeArrivals();
+        simulator.runToCompletion();
+    } else {
+        station.start();
+        simulator.runUntil(warmup);
+        station.resetMeasurements();
+        simulator.runUntil(warmup + span);
+    }
+    return station.responseTimesInArrivalOrder();
 }
 
 TailMeasurement
@@ -98,15 +143,8 @@ measureStationReference(int servers, double arrival_rate,
     CLITE_CHECK(window > 0.0, "measurement window must be > 0");
 
     const double span = effectiveWindow(window, arrival_rate, event_budget);
-    Simulator simulator;
-    QueueingStation station(simulator, servers, arrival_rate, mean_service,
-                            rng);
-    station.start();
-    simulator.runUntil(warmup);
-    station.resetMeasurements();
-    simulator.runUntil(warmup + span);
-
-    const std::vector<double> rt = station.responseTimesInArrivalOrder();
+    const std::vector<double> rt = referenceResponses(
+        servers, arrival_rate, mean_service, warmup, span, rng);
     TailMeasurement out;
     out.completed = rt.size();
     out.throughput = double(rt.size()) / span;

@@ -8,11 +8,16 @@
  * the FCFS recursion over the servers' next-idle times; this oracle
  * simulates the same queue event by event instead: arrivals and
  * departures on the generic calendar, a FIFO waiting line, a server
- * handed to the head of the line at each departure. Both draw from the
- * RNG in the same order — each request's interarrival gap, then its
- * service time, at its arrival — so every TailMeasurement field (the
- * mean summed in arrival order) and the RNG end state must match bit
- * for bit (pinned by queueing_fast_test.cpp).
+ * handed to the head of the line at each departure. Below the knee it
+ * preloads the stationary start state at t = 0 (busy servers with
+ * their residual service times, then the waiting line) and measures
+ * every request that arrives in the window, draining their departures
+ * after the last arrival; at or above it the station starts empty and
+ * the warm-up is discarded. Both draw from the RNG in the order
+ * measureStation() documents — the start state, then each request's
+ * interarrival gap and service time at its arrival — so every
+ * TailMeasurement field (the mean summed in arrival order) and the RNG
+ * end state must match bit for bit (pinned by queueing_fast_test.cpp).
  */
 
 #ifndef CLITE_TESTS_SIM_REFERENCE_STATION_H
@@ -47,8 +52,24 @@ class QueueingStation
     QueueingStation(Simulator& simulator, int servers, double arrival_rate,
                     double mean_service, Rng& rng);
 
+    /**
+     * Put the station at t = 0 in a state with @p busy servers in
+     * service and @p waiting requests in line, none of them measured:
+     * draws one residual service time per busy server, then one
+     * service time per waiting request, in line order.
+     * @pre nothing has run yet
+     */
+    void preload(int busy, uint64_t waiting);
+
     /** Begin generating arrivals (schedules the first arrival). */
     void start();
+
+    /**
+     * Stop generating arrivals: the pending arrival, already drawn,
+     * fires without drawing or admitting anything, so the requests in
+     * the station can drain.
+     */
+    void closeArrivals() { closed_ = true; }
 
     /**
      * Drop response times recorded so far — used to discard warm-up
@@ -73,12 +94,14 @@ class QueueingStation
     int busyServers() const { return busy_; }
 
   private:
-    /** One request: its arrival order, stamp and drawn service time. */
+    /** One request: its arrival order, stamp and drawn service time;
+     *  a preloaded request is not measured. */
     struct Request
     {
         uint64_t index;
         SimTime arrival;
         double service;
+        bool measured = true;
     };
 
     /** Handle one arrival: draw its service, then enter service or
@@ -98,11 +121,21 @@ class QueueingStation
     Rng& rng_;
 
     int busy_ = 0;
+    bool closed_ = false;
     uint64_t arrivals_ = 0;
     std::deque<Request> waiting_;
     std::vector<double> response_;
     std::vector<uint64_t> response_index_; // arrival index per response
 };
+
+/**
+ * The responses sim::measureStation measures over a span of @p span
+ * seconds, in arrival order, simulated through QueueingStation on the
+ * generic Simulator with the same draws.
+ */
+std::vector<double> referenceResponses(int servers, double arrival_rate,
+                                       double mean_service, double warmup,
+                                       double span, Rng& rng);
 
 /**
  * sim::measureStation through QueueingStation on the generic Simulator
