@@ -83,12 +83,15 @@ COMPONENT_FAMILIES = DEFAULT_FAMILIES + ["hyperparameterprobe",
 # Within-run ratios `--mode components` reads in place of the
 # numerator's absolute time: (numerator, denominator) benchmark names,
 # matched per argument (BM_AcquisitionRoundParallel/16 against
-# BM_AcquisitionRoundSerial/16). Both halves ran in the same process,
-# so host speed and run-to-run drift cancel, where the numerators'
+# BM_AcquisitionRoundSerial/16), or against the denominator itself when
+# it takes no argument (BM_DesStation/5 against
+# BM_DesModelMeasureHighRate). Both halves ran in the same process, so
+# host speed and run-to-run drift cancel, where the numerators'
 # absolute times swing by ±20% (the DES) to 2–4× (the pool rounds)
 # between runs of one binary.
 COMPONENT_RATIOS = [
     ("BM_DesModelMeasureCoarse", "BM_DesModelMeasureHighRate"),
+    ("BM_DesStation", "BM_DesModelMeasureHighRate"),
     ("BM_AcquisitionRoundParallel", "BM_AcquisitionRoundSerial"),
     ("BM_AcquisitionRoundBatchedParallel", "BM_AcquisitionRoundBatched"),
 ]
@@ -101,8 +104,12 @@ def ratio_pairs(times):
     for name, t in times.items():
         base, slash, arg = name.partition("/")
         for num, den in COMPONENT_RATIOS:
+            if base != num:
+                continue
             other = den + slash + arg
-            if base == num and other in times and times[other] > 0:
+            if other not in times:
+                other = den
+            if other in times and times[other] > 0:
                 out[(name, other)] = t / times[other]
     return out
 

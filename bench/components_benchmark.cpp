@@ -431,8 +431,8 @@ BENCHMARK(BM_AnalyticModelMeasure);
 
 /**
  * One fine DES QoS window of a low-rate job: img-dnn at 40% load,
- * about 1.2k measured requests, below the tail-selection threshold of
- * the window summary.
+ * about 1.2k measured requests, so the window summary takes its
+ * tail-selection path at a stride narrower than the large windows'.
  */
 void
 BM_DesModelMeasure(benchmark::State& state)
@@ -498,6 +498,41 @@ BM_DesModelMeasureCoarse(benchmark::State& state)
             model.measure(job, units, config, rng).p95_ms);
 }
 BENCHMARK(BM_DesModelMeasureCoarse)->Unit(benchmark::kMicrosecond);
+
+/**
+ * The station loop alone at c = state.range(0) servers: one fine 2 s
+ * window at ρ 0.7 and 1 ms mean service, so 1.4k·c measured requests,
+ * below the 4096 from which the summary's pivot stride stops growing
+ * at c = 1 and 2 and above it at c = 5 and 9. Below the knee every
+ * simulated arrival is measured, so the per_request counter (requests
+ * per second, inverted: seconds in the JSON, printed as ns) is the
+ * window's cost per simulated request. Its absolute time swings like the
+ * BM_DesModelMeasure family, so the component gate reads its ratio to
+ * BM_DesModelMeasureHighRate.
+ */
+void
+BM_DesStation(benchmark::State& state)
+{
+    const int servers = int(state.range(0));
+    const double mean_service = 0.001;
+    const double lambda = 0.7 * double(servers) / mean_service;
+    Rng rng(11);
+    double requests = 0.0;
+    for (auto _ : state) {
+        const sim::TailMeasurement m =
+            sim::measureStation(servers, lambda, mean_service, 0.5, 2.0, rng);
+        benchmark::DoNotOptimize(m.p95);
+        requests += double(m.completed);
+    }
+    state.counters["per_request"] = benchmark::Counter(
+        requests, benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_DesStation)
+    ->Arg(1)
+    ->Arg(2)
+    ->Arg(5)
+    ->Arg(9)
+    ->Unit(benchmark::kMicrosecond);
 
 void
 BM_ScoreEvaluation(benchmark::State& state)

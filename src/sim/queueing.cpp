@@ -16,10 +16,12 @@ namespace {
 
 /** Windows with at least this many responses select their percentiles
     from the top tail only (see summarizeWindow). */
-constexpr size_t kTailSelectMin = 4096;
+constexpr size_t kTailSelectMin = 512;
 
-/** Stride of the pivot sample the tail selection draws its cut from. */
-constexpr size_t kPivotStride = 32;
+/** Pivots the tail selection's strided sample aims for, and the widest
+    stride it takes them at (from 4096 responses on). */
+constexpr size_t kPivotTarget = 128;
+constexpr size_t kMaxPivotStride = 32;
 
 /**
  * The order statistic sorted(v)[k], by selection instead of a full
@@ -65,16 +67,18 @@ selectPercentile(std::span<double> tail, size_t n, double q, size_t& frontier)
 /**
  * Copy into @p buf (room for rt.size() values) the responses at or
  * above a cut near the 90th percentile, taken from a strided sample
- * (every kPivotStride-th response); returns how many were kept. The
- * kept ones are exactly the top m of the window as a multiset, because
- * every response below the cut sorts before every response at or
- * above it.
+ * of about kPivotTarget responses (every n/128-th, at most every
+ * 32nd); returns how many were kept. The kept ones are exactly the top
+ * m of the window as a multiset, because every response below the cut
+ * sorts before every response at or above it.
  */
 size_t
 keepTopTail(const std::vector<double>& rt, double* buf)
 {
+    const size_t stride = std::clamp(rt.size() / kPivotTarget, size_t(1),
+                                     kMaxPivotStride);
     size_t samples = 0;
-    for (size_t i = 0; i < rt.size(); i += kPivotStride)
+    for (size_t i = 0; i < rt.size(); i += stride)
         buf[samples++] = rt[i];
     double* cut = buf + samples * 9 / 10;
     std::nth_element(buf, cut, buf + samples);
@@ -94,7 +98,7 @@ keepTopTail(const std::vector<double>& rt, double* buf)
  */
 struct StationScratch
 {
-    std::vector<double> free_at;  ///< per server: when it next falls idle
+    std::vector<double> free_at;  ///< servers' next-idle times, ascending
     std::vector<double> response; ///< measured responses, arrival order
     std::vector<double> sort_buf;
 };
@@ -142,15 +146,29 @@ truncatedPoisson(int servers, double a, double u)
                         [&](double w) { return target < (acc += w); });
 }
 
-/** The server that falls idle first, the lowest index among ties. */
-int
-earliestFree(const double* free_at, int servers)
+/**
+ * Hand the server that falls idle first, free_at[0] of the ascending
+ * free times, to a request that departs at @p departure (never
+ * earlier), and merge its new free time back in with one branch-free
+ * pass: slot j < c − 1 keeps min(free_at[j + 1], max(free_at[j],
+ * departure)) and the last slot max(free_at[c − 1], departure), which
+ * shifts the times below @p departure down one slot and leaves the
+ * ones above it in place. At slot 0 the max is @p departure itself.
+ * Returns the new earliest free time for the caller to keep in a
+ * register, so the next request's start waits on one min instead of a
+ * store and its reload.
+ */
+double
+replaceEarliest(double* free_at, int servers, double departure)
 {
-    int first = 0;
-    for (int i = 1; i < servers; ++i)
-        if (free_at[i] < free_at[first])
-            first = i;
-    return first;
+    if (servers == 1)
+        return free_at[0] = departure;
+    const double earliest = std::min(free_at[1], departure);
+    free_at[0] = earliest;
+    for (int j = 1; j + 1 < servers; ++j)
+        free_at[j] = std::min(free_at[j + 1], std::max(free_at[j], departure));
+    free_at[servers - 1] = std::max(free_at[servers - 1], departure);
+    return earliest;
 }
 
 /**
@@ -159,15 +177,18 @@ earliestFree(const double* free_at, int servers)
  * to start service, and it takes the server that falls idle first, so
  * the c times at which the servers next fall idle are the whole queue
  * state: request k starts at max(arrival, earliest free time) and holds
- * that server until start + service. Below the knee the servers start
- * with the busy periods of a stationary state and every arrival is
- * measured; at or above it they start idle and a response is measured
- * when its departure falls in (warmup, warmup + span]. Draws follow
- * the order measureStation() documents, from one RngLookahead, which
- * moves @p rng to exactly the consumed position before the window is
- * summarized. Every draw divides a unit exponential by its rate, as
- * Rng::exponential does; the caller has validated both rates, so no
- * draw re-checks one.
+ * that server until start + service. Which server that is never
+ * matters, only its time (tied servers hold the same value), so the
+ * state is the sorted multiset of the free times: the earliest is
+ * free_at[0], and replaceEarliest() merges the departure back in.
+ * Below the knee the servers start with the busy periods of a
+ * stationary state and every arrival is measured; at or above it they
+ * start idle and a response is measured when its departure falls in
+ * (warmup, warmup + span]. Draws follow the order measureStation()
+ * documents, from one RngLookahead, which moves @p rng to exactly the
+ * consumed position before the window is summarized. Every draw
+ * divides a unit exponential by its rate, as Rng::exponential does;
+ * the caller has validated both rates, so no draw re-checks one.
  */
 TailMeasurement
 runStationLoop(int servers, double arrival_rate, double mean_service,
@@ -189,24 +210,27 @@ runStationLoop(int servers, double arrival_rate, double mean_service,
             stationaryOccupancy(servers, offered_load, e_branch, e_count);
         for (int i = 0; i < start.busy; ++i)
             free_at[i] = draws.unitExponential() / service_rate;
+        // The idle servers' zeros sort first.
+        std::sort(free_at, free_at + servers);
         for (uint64_t k = 0; k < start.waiting; ++k)
-            free_at[earliestFree(free_at, servers)] +=
-                draws.unitExponential() / service_rate;
+            replaceEarliest(free_at, servers,
+                            free_at[0] +
+                                draws.unitExponential() / service_rate);
         end = span;
         record_after = -std::numeric_limits<double>::infinity();
         record_until = std::numeric_limits<double>::infinity();
     }
 
     double arrival = 0.0;
+    double earliest = free_at[0];
     for (;;) {
         arrival += draws.unitExponential() / arrival_rate;
         if (arrival > end)
             break;
         const double service = draws.unitExponential() / service_rate;
         CLITE_ASSERT(service >= 0.0, "negative service time sampled");
-        const int first = earliestFree(free_at, servers);
-        const double departure = std::max(arrival, free_at[first]) + service;
-        free_at[first] = departure;
+        const double departure = std::max(arrival, earliest) + service;
+        earliest = replaceEarliest(free_at, servers, departure);
         // At or above the knee, warm-up responses are discarded at
         // t == warmup, so only strictly later departures are measured;
         // below it both bounds are infinite.
@@ -288,9 +312,14 @@ measureStation(int servers, double arrival_rate, double mean_service,
                double warmup, double window, Rng& rng, uint64_t event_budget)
 {
     CLITE_CHECK(servers >= 1, "station needs >= 1 server, got " << servers);
-    CLITE_CHECK(arrival_rate >= 0.0, "arrival rate must be >= 0");
+    CLITE_CHECK(std::isfinite(arrival_rate) && arrival_rate >= 0.0,
+                "arrival rate must be finite and >= 0, got " << arrival_rate);
     CLITE_CHECK(mean_service > 0.0, "mean service time must be > 0");
-    CLITE_CHECK(window > 0.0, "measurement window must be > 0");
+    // An infinite rate or time never ends the loop that simulates it.
+    CLITE_CHECK(std::isfinite(warmup) && warmup >= 0.0,
+                "warm-up must be finite and >= 0, got " << warmup);
+    CLITE_CHECK(std::isfinite(window) && window > 0.0,
+                "measurement window must be finite and > 0, got " << window);
 
     const double span = effectiveWindow(window, arrival_rate, event_budget);
     std::vector<double>& response = t_scratch.response;

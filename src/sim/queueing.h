@@ -14,14 +14,17 @@
  *
  * measureStation() runs the station as an FCFS recursion (Kiefer &
  * Wolfowitz): under FCFS on identical servers the k-th arrival is the
- * k-th request to start service, so the c times at which the servers
- * next fall idle are the whole queue state, and there is no event
- * queue. Below the knee (utilization ρ = λ·mean_service/c under
- * kRhoKnee) a window starts in a state drawn from the M/M/c stationary
- * law, the state the paper's window finds on a server that is already
- * running, and measures every request that arrives in it; at or above
- * the knee no stationary law exists, so the window starts empty and
- * simulates a warm-up first. Every draw is a unit exponential from the
+ * k-th request to start service, on whichever server falls idle first,
+ * so the c times at which the servers next fall idle are the whole
+ * queue state, and there is no event queue. Only their values decide a
+ * response, never which server holds which, so the loop keeps them as
+ * a sorted multiset and merges each departure back in with a
+ * branch-free pass. Below the knee (utilization ρ = λ·mean_service/c
+ * under kRhoKnee) a window starts in a state drawn from the M/M/c
+ * stationary law, the state the paper's window finds on a server that
+ * is already running, and measures every request that arrives in it;
+ * at or above the knee no stationary law exists, so the window starts
+ * empty and simulates a warm-up first. Every draw is a unit exponential from the
  * caller's Rng, taken through an RngLookahead so the draws leave the
  * recursion's dependency chain; the order is spelled out at
  * measureStation(). The loop reuses thread-local buffers across calls,
@@ -109,7 +112,8 @@ double effectiveWindow(double window, double arrival_rate,
 /**
  * Measure an M/M/c station over one observation window (the paper's
  * two-second period). Every argument is validated up front, before the
- * zero-load early return.
+ * zero-load early return; an infinite rate or time is rejected, since
+ * the loop that simulated it would never end.
  *
  * Below the knee (ρ < kRhoKnee) the window starts at t = 0 in a
  * stationary state and measures every request that arrives in
@@ -126,21 +130,20 @@ double effectiveWindow(double window, double arrival_rate,
  *     count draw of stationaryOccupancy(); then one residual service
  *     time for each busy server, servers 0, 1, ... in order (service
  *     is memoryless); then one service time for each waiting request,
- *     in line order, which starts when the earliest-free server (the
- *     lowest index among ties) falls idle. No waiting request is
- *     measured;
+ *     in line order, which starts when the first server falls idle.
+ *     No waiting request is measured;
  *  2. then, for each request in arrival order from t = 0, its
  *     interarrival gap and then its service time; it starts at
  *     max(arrival, earliest server-free time). The first gap that
  *     lands past the window is drawn and ends the window.
  *
  * @param servers Number of servers c (>= 1).
- * @param arrival_rate Offered load λ (requests/second, >= 0).
+ * @param arrival_rate Offered load λ (requests/second, finite, >= 0).
  * @param mean_service Mean of the exponential service time (seconds,
  *     > 0).
  * @param warmup Transient simulated and discarded at or above the
- *     knee (seconds).
- * @param window Measured window (seconds, > 0).
+ *     knee (seconds, finite, >= 0).
+ * @param window Measured window (seconds, finite, > 0).
  * @param rng Randomness.
  * @param event_budget Cap on the expected number of measured requests;
  *     0 (the default) measures the full window. See effectiveWindow().

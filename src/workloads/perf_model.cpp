@@ -210,8 +210,10 @@ QueueingSimModel::QueueingSimModel(double warmup_s, double window_s,
                                    uint64_t event_budget)
     : warmup_s_(warmup_s), window_s_(window_s), event_budget_(event_budget)
 {
-    CLITE_CHECK(warmup_s_ >= 0.0, "warmup must be >= 0");
-    CLITE_CHECK(window_s_ > 0.0, "window must be > 0");
+    CLITE_CHECK(std::isfinite(warmup_s_) && warmup_s_ >= 0.0,
+                "warmup must be finite and >= 0, got " << warmup_s_);
+    CLITE_CHECK(std::isfinite(window_s_) && window_s_ > 0.0,
+                "window must be finite and > 0, got " << window_s_);
 }
 
 JobMeasurement

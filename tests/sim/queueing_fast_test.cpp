@@ -91,10 +91,16 @@ expectMatchesOracle(int servers, double lambda, double mean_service,
  * RNG streams left in the same state. Ten seeds of a small station;
  * two seeds each of stations at 5 000 and 30 000 requests/s and the
  * same 72% load, whose windows measure at least 4096 completions, the
- * size from which the window summary selects its percentiles from the
- * top tail only; and ten seeds each of a one-server station near the
- * knee (ρ 0.95), whose stationary start often holds a long line, and
- * of one at ρ 1, which is past the knee and takes the warm-up path.
+ * size from which the window summary's pivot stride stops growing;
+ * three of one whose fine and budgeted windows both measure 512 to
+ * 4095, so they take the summary's tail path at a narrower stride; ten
+ * seeds each of a one-server station near the knee (ρ 0.95), whose
+ * stationary start often holds a long line, and of one at ρ 1, which
+ * is past the knee and takes the warm-up path; and stations of 2, 5, 9
+ * and 10 servers, whose stationary starts leave idle servers tied at
+ * 0 (ρ 0.3 and 0.5) or hold long lines in front of many busy ones near
+ * the knee (ρ 0.9 and 0.98), so departures land in every slot of the
+ * sorted free times, ties included.
  */
 TEST(QueueingFastPath, BitIdenticalToReferenceAcrossSeeds)
 {
@@ -111,7 +117,12 @@ TEST(QueueingFastPath, BitIdenticalToReferenceAcrossSeeds)
                                 {3, 5000.0, 4.32e-4, 5000, 2, 4096},
                                 {3, 30000.0, 7.2e-5, 5000, 2, 4096},
                                 {1, 95.0, 0.01, 64, 10, 0},
-                                {1, 100.0, 0.01, 64, 10, 0}};
+                                {1, 100.0, 0.01, 64, 10, 0},
+                                {4, 1000.0, 0.0028, 1000, 3, 512},
+                                {2, 100.0, 0.01, 64, 10, 0},
+                                {5, 450.0, 0.01, 128, 5, 0},
+                                {9, 880.0, 0.01, 256, 5, 0},
+                                {10, 300.0, 0.01, 64, 5, 0}};
     const double warmup = 0.5, window = 1.5;
     for (const Station& st : stations) {
         ASSERT_LT(effectiveWindow(window, st.lambda, st.binding_budget),
@@ -233,14 +244,17 @@ expectSummaryMatchesFullSort(const std::vector<double>& rt,
 }
 
 /**
- * Window sizes on both sides of the tail-selection threshold, and
- * windows dominated by ties, where the cut value repeats across the
- * boundary of the kept tail.
+ * Window sizes on both sides of the tail-selection threshold (512),
+ * inside the range where the pivot stride grows with the window, and
+ * past the size (4096) from which it stays at 32; and windows
+ * dominated by ties, where the cut value repeats across the boundary
+ * of the kept tail.
  */
 TEST(QueueingFastPath, SummaryMatchesFullSortAroundTailThreshold)
 {
     Rng rng(5);
-    for (size_t n : {size_t(1), size_t(2), size_t(4095), size_t(4096),
+    for (size_t n : {size_t(1), size_t(2), size_t(511), size_t(512),
+                     size_t(513), size_t(2000), size_t(4095), size_t(4096),
                      size_t(4097), size_t(8191), size_t(20000)}) {
         std::vector<double> rt(n);
         for (double& x : rt)
@@ -257,27 +271,40 @@ TEST(QueueingFastPath, SummaryMatchesFullSortAroundTailThreshold)
 }
 
 /**
- * The fallback branch: every 32nd response is one of the window's
+ * The fallback branch: every stride-th response is one of the window's
  * largest, so the strided pivot sample holds only those and its cut
  * lands above rank floor(0.95 (n - 1)). The summary must then select
- * over every response and still match the full sort.
+ * over every response and still match the full sort. Run at the widest
+ * stride (32, from 4096 responses on) and at the narrowest (4, at the
+ * 512-response threshold).
  */
 TEST(QueueingFastPath, SummaryFallsBackWhenTheCutIsAboveTheTail)
 {
-    const size_t n = 8192;
-    std::vector<double> rt(n);
+    struct Window
+    {
+        size_t n;
+        size_t stride;
+    };
     Rng rng(9);
-    for (size_t i = 0; i < n; ++i)
-        rt[i] = i % 32 == 0 ? 1.0 + rng.uniform() : 0.001 * rng.uniform();
-    // Only n / 32 responses are large, fewer than the 5% tail the
-    // percentiles read, so a cut among them keeps too few.
-    ASSERT_LT(n / 32, n - size_t(0.95 * double(n - 1)));
-    expectSummaryMatchesFullSort(rt, "fallback");
+    for (Window w : {Window{8192, 32}, Window{512, 4}}) {
+        const size_t n = w.n;
+        std::vector<double> rt(n);
+        for (size_t i = 0; i < n; ++i)
+            rt[i] = i % w.stride == 0 ? 1.0 + rng.uniform()
+                                      : 0.001 * rng.uniform();
+        // The cut at the 90th percentile of the large responses keeps
+        // about a tenth of them, fewer than the 5% tail the
+        // percentiles read.
+        const size_t large = n / w.stride;
+        ASSERT_LT(large - large * 9 / 10,
+                  n - size_t(0.95 * double(n - 1)));
+        expectSummaryMatchesFullSort(rt, "fallback n " + std::to_string(n));
 
-    // The same window with the large responses off the stride keeps
-    // the tail path.
-    std::rotate(rt.begin(), rt.begin() + 1, rt.end());
-    expectSummaryMatchesFullSort(rt, "rotated");
+        // The same window with the large responses off the stride
+        // keeps the tail path.
+        std::rotate(rt.begin(), rt.begin() + 1, rt.end());
+        expectSummaryMatchesFullSort(rt, "rotated n " + std::to_string(n));
+    }
 }
 
 } // namespace

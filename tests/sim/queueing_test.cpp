@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -238,6 +239,39 @@ TEST(QueueingStation, Validation)
     EXPECT_THROW(QueueingStation(simulator, 1, -1.0, 0.1, rng), Error);
     EXPECT_THROW(measureStation(1, 1.0, 0.0, 0.0, 1.0, rng), Error);
     EXPECT_THROW(measureStation(1, 1.0, 0.1, 0.0, 0.0, rng), Error);
+}
+
+/**
+ * A warm-up, window or arrival rate that no loop could finish
+ * simulating is rejected up front, before the zero-load return and
+ * whether or not the station is below the knee: at ρ 1 a NaN warm-up
+ * used to spin forever and a negative one returned an empty window.
+ */
+TEST(QueueingStation, RejectsNonFiniteOrNegativeTimes)
+{
+    const double inf = std::numeric_limits<double>::infinity();
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    Rng rng(17);
+    // One server at 100/s and 10 ms service is ρ 1, the warm-up path;
+    // 50/s is ρ 0.5, below the knee; 0/s takes the zero-load return.
+    for (double lambda : {100.0, 50.0, 0.0}) {
+        EXPECT_THROW(measureStation(1, lambda, 0.01, nan, 2.0, rng), Error)
+            << lambda;
+        EXPECT_THROW(measureStation(1, lambda, 0.01, inf, 2.0, rng), Error)
+            << lambda;
+        EXPECT_THROW(measureStation(1, lambda, 0.01, -5.0, 2.0, rng), Error)
+            << lambda;
+        EXPECT_THROW(measureStation(1, lambda, 0.01, 1.0, inf, rng), Error)
+            << lambda;
+        EXPECT_THROW(measureStation(1, lambda, 0.01, 1.0, nan, rng), Error)
+            << lambda;
+        EXPECT_THROW(measureStation(1, lambda, 0.01, 1.0, -2.0, rng), Error)
+            << lambda;
+        EXPECT_NO_THROW(measureStation(1, lambda, 0.01, 0.0, 0.1, rng))
+            << lambda;
+    }
+    EXPECT_THROW(measureStation(1, inf, 0.01, 1.0, 2.0, rng), Error);
+    EXPECT_THROW(measureStation(1, inf, 0.01, 1.0, 2.0, rng, 2000), Error);
 }
 
 } // namespace

@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "common/error.h"
 #include "common/rng.h"
@@ -255,6 +256,23 @@ TEST(PerfModel, JobSpecHelpers)
     EXPECT_EQ(bg.label(), "canneal");
     EXPECT_THROW(lcJob("img-dnn", 0.0), Error);
     EXPECT_THROW(lcJob("img-dnn", 1.5), Error);
+}
+
+/**
+ * The DES backend rejects a warm-up or window that no window could
+ * finish simulating, at construction instead of in its first window.
+ */
+TEST(PerfModel, DesRejectsNonFiniteOrNegativeTimes)
+{
+    const double inf = std::numeric_limits<double>::infinity();
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    EXPECT_THROW(QueueingSimModel(inf, 2.0), Error);
+    EXPECT_THROW(QueueingSimModel(nan, 2.0), Error);
+    EXPECT_THROW(QueueingSimModel(-5.0, 2.0), Error);
+    EXPECT_THROW(QueueingSimModel(1.0, inf), Error);
+    EXPECT_THROW(QueueingSimModel(1.0, nan), Error);
+    EXPECT_THROW(QueueingSimModel(1.0, 0.0), Error);
+    EXPECT_NO_THROW(QueueingSimModel(0.0, 2.0));
 }
 
 } // namespace
