@@ -17,10 +17,11 @@ a candidate produced by a non-Release build — a ".DEBUG"-stamped file
 name or a `clite_build_type` context other than "release" — fails the
 run outright instead of warning, so a debug JSON can never slip in as
 the baseline. The benchmarks whose absolute times swing run to run
-(the coarse DES window, the parallel acquisition rounds) are judged
-by a within-run ratio to their twin instead (COMPONENT_RATIOS): the
-ratio is printed for both files, and a move past the threshold either
-way warns. `--mode warmstart`
+(the coarse DES window, the station loop and its draws, the parallel
+acquisition rounds) are judged by a within-run ratio to their twin
+instead (COMPONENT_RATIOS): the ratio is printed for both files, and a
+move past the threshold either way warns. A benchmark run with
+repetitions reads as their median. `--mode warmstart`
 compares two bench/warm_start emissions (BENCH_warmstart.json)
 instead: it checks that warm starts still converge no slower than the
 committed baseline and that the exact-hit improvement over cold stays
@@ -62,6 +63,7 @@ Only needs the standard library (CI images have no pip step).
 
 import argparse
 import json
+import re
 import sys
 
 # Benchmark-name substrings (lowercased) watched for regressions by
@@ -88,10 +90,13 @@ COMPONENT_FAMILIES = DEFAULT_FAMILIES + ["hyperparameterprobe",
 # BM_DesModelMeasureHighRate). Both halves ran in the same process, so
 # host speed and run-to-run drift cancel, where the numerators'
 # absolute times swing by ±20% (the DES) to 2–4× (the pool rounds)
-# between runs of one binary.
+# between runs of one binary. The DES benchmarks run repetitions and
+# read as their median (load_benchmarks), since one sample of the
+# denominator swings as much as the numerators.
 COMPONENT_RATIOS = [
     ("BM_DesModelMeasureCoarse", "BM_DesModelMeasureHighRate"),
     ("BM_DesStation", "BM_DesModelMeasureHighRate"),
+    ("BM_UnitExponentials", "BM_DesModelMeasureHighRate"),
     ("BM_AcquisitionRoundParallel", "BM_AcquisitionRoundSerial"),
     ("BM_AcquisitionRoundBatchedParallel", "BM_AcquisitionRoundBatched"),
 ]
@@ -142,18 +147,26 @@ def compare_ratios(base, cand, threshold):
 
 
 def load_benchmarks(path):
-    """Return {name: real_time_ns} for a google-benchmark JSON file."""
+    """Return {name: real_time_ns} for a google-benchmark JSON file. A
+    benchmark run with repetitions reads as the median of them (its
+    "median" aggregate), under its name without the "/repeats:N"
+    suffix."""
     with open(path) as f:
         data = json.load(f)
-    out = {}
+    out, medians = {}, {}
     for bench in data.get("benchmarks", []):
-        if bench.get("run_type") == "aggregate":
-            continue
         unit = bench.get("time_unit", "ns")
         scale = {"ns": 1.0, "us": 1e3, "ms": 1e6, "s": 1e9}.get(unit)
         if scale is None:
             continue
-        out[bench["name"]] = float(bench["real_time"]) * scale
+        t = float(bench["real_time"]) * scale
+        if bench.get("run_type") == "aggregate":
+            if bench.get("aggregate_name") == "median":
+                name = re.sub(r"/repeats:\d+$", "", bench["run_name"])
+                medians[name] = t
+            continue
+        out[bench["name"]] = t
+    out.update(medians)
     return out, data.get("context", {})
 
 

@@ -430,6 +430,20 @@ BM_AnalyticModelMeasure(benchmark::State& state)
 BENCHMARK(BM_AnalyticModelMeasure);
 
 /**
+ * The DES family runs 5 repetitions and reports their aggregates only;
+ * bench/compare_bench.py reads the median. One sample of one of these
+ * benchmarks swings by up to ±20% between runs of one binary, and a
+ * full run and a filtered run of one binary read their shared ratio
+ * denominator, BM_DesModelMeasureHighRate, 16% apart; the component
+ * gate reads within-run ratios of them.
+ */
+void
+desRepetitions(benchmark::internal::Benchmark* b)
+{
+    b->Repetitions(5)->ReportAggregatesOnly(true);
+}
+
+/**
  * One fine DES QoS window of a low-rate job: img-dnn at 40% load,
  * about 1.2k measured requests, so the window summary takes its
  * tail-selection path at a stride narrower than the large windows'.
@@ -446,7 +460,7 @@ BM_DesModelMeasure(benchmark::State& state)
         benchmark::DoNotOptimize(
             model.measure(job, units, config, rng).p95_ms);
 }
-BENCHMARK(BM_DesModelMeasure);
+BENCHMARK(BM_DesModelMeasure)->Apply(desRepetitions);
 
 /**
  * One fine DES QoS window at the rates that carry most simulated
@@ -466,7 +480,9 @@ BM_DesModelMeasureHighRate(benchmark::State& state)
         benchmark::DoNotOptimize(
             model.measure(job, units, config, rng).p95_ms);
 }
-BENCHMARK(BM_DesModelMeasureHighRate)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_DesModelMeasureHighRate)
+    ->Unit(benchmark::kMicrosecond)
+    ->Apply(desRepetitions);
 
 /**
  * The BM_DesModelMeasureHighRate window under the coarse event budget
@@ -497,7 +513,9 @@ BM_DesModelMeasureCoarse(benchmark::State& state)
         benchmark::DoNotOptimize(
             model.measure(job, units, config, rng).p95_ms);
 }
-BENCHMARK(BM_DesModelMeasureCoarse)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_DesModelMeasureCoarse)
+    ->Unit(benchmark::kMicrosecond)
+    ->Apply(desRepetitions);
 
 /**
  * The station loop alone at c = state.range(0) servers: one fine 2 s
@@ -532,7 +550,38 @@ BENCHMARK(BM_DesStation)
     ->Arg(2)
     ->Arg(5)
     ->Arg(9)
-    ->Unit(benchmark::kMicrosecond);
+    ->Unit(benchmark::kMicrosecond)
+    ->Apply(desRepetitions);
+
+/**
+ * The station loop's draw phase alone: 4096 unit exponentials per
+ * iteration through an RngLookahead, as the loop takes them (a
+ * simulated request takes two). The per_draw counter (draws per
+ * second, inverted: seconds in the JSON, printed as ns) is the cost of
+ * one raw draw and its -log(1 - u), block kernel included.
+ */
+void
+BM_UnitExponentials(benchmark::State& state)
+{
+    constexpr int kDraws = 4096;
+    Rng rng(11);
+    for (auto _ : state) {
+        RngLookahead draws(rng);
+        // Four partial sums, so no add chain paces the draws.
+        double sum[4] = {};
+        for (int i = 0; i < kDraws; i += 4)
+            for (double& s : sum)
+                s += draws.unitExponential();
+        draws.commit();
+        benchmark::DoNotOptimize(sum);
+    }
+    state.counters["per_draw"] = benchmark::Counter(
+        double(state.iterations()) * kDraws,
+        benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_UnitExponentials)
+    ->Unit(benchmark::kMicrosecond)
+    ->Apply(desRepetitions);
 
 void
 BM_ScoreEvaluation(benchmark::State& state)

@@ -7,6 +7,13 @@
  * that every experiment is reproducible from a single 64-bit seed. The
  * generator is xoshiro256**, seeded through SplitMix64, both public
  * domain algorithms by Blackman & Vigna.
+ *
+ * Exponential draws invert one uniform, -log(1 - u), through the
+ * library's own log kernel (fdlibm's, common/fdlibm_log.h) rather than
+ * libm's: its scalar form and its 4-lane block forms, baseline x86-64
+ * and AVX2, return the same bits on every host, within 1 ulp of the
+ * true value. glibc's log is not host-independent: its FMA and non-FMA
+ * variants differ in about 1 of 10^4 of these draws.
  */
 
 #ifndef CLITE_COMMON_RNG_H
@@ -137,12 +144,13 @@ class Rng
 /**
  * Block lookahead over an Rng stream for a hot loop whose draws sit on
  * a serial dependency chain (the DES station loop). It draws the next
- * kBlock uniforms of a copy of the stream and turns them into unit
- * exponentials -log(1 - u) in one tight loop, so the log calls overlap
- * each other instead of stalling the loop one at a time.
+ * kBlock uniforms of a copy of the stream, then turns them into unit
+ * exponentials -log(1 - u) four lanes at a time with the log kernel's
+ * block form (AVX2 where the host has it), off the loop's chain.
  * unitExponential() / rate has exactly the bits the parent's own
  * Rng::exponential(rate) calls would return in the same order (pinned
- * by tests/common/rng_test.cpp).
+ * by tests/common/rng_test.cpp): one raw draw per exponential, in
+ * stream order.
  *
  * commit() moves the parent to exactly the position the draws so far
  * consumed; draws computed past that position are discarded, and the
@@ -184,20 +192,30 @@ class RngLookahead
 
 namespace detail {
 
-/** Unit exponential by inversion: -log(1 - u) for u in [0, 1). */
-inline double
-unitExponential(double u)
-{
-    return -std::log(1.0 - u);
-}
+/**
+ * Unit exponential by inversion, -log(1 - u) for u in [0, 1), with the
+ * library's log kernel: within 1 ulp of the true value, and -0.0 at
+ * u = 0. Rng::exponential's scalar form.
+ */
+double unitExponential(double u);
+
+/**
+ * The block forms, exposed for the equivalence test: e[i] becomes
+ * unitExponential(e[i]) for i < n, four lanes at a time, bit for bit.
+ * @pre n is a multiple of 4.
+ */
+void unitExponentialsBase(double* e, size_t n);
+
+/** AVX2 block form (valid to call only when clite::avx2Supported()). */
+void unitExponentialsAvx2(double* e, size_t n);
 
 } // namespace detail
 
 // The sampling hot path — raw draws and the distributions the
 // discrete-event simulator draws per request — is defined inline so
 // callers in other translation units pay no call or spill overhead.
-// The unit exponential has one formula (detail:: above), shared with
-// RngLookahead.
+// The unit exponential has one kernel (detail:: above, common/rng.cpp),
+// shared with RngLookahead.
 
 inline uint64_t
 Rng::next()
@@ -229,8 +247,11 @@ Rng::normal()
         has_cached_normal_ = false;
         return cached_normal_;
     }
-    // Box-Muller; 1 - u1 is in (0,1] so the log is finite.
-    const double r = std::sqrt(2.0 * detail::unitExponential(uniform()));
+    // Box-Muller; 1 - u1 is in (0,1] so the log is finite. The radius
+    // keeps libm's log rather than the unit-exponential kernel: normal
+    // draws are measurement noise, off the DES's per-request path, and
+    // keeping their bits keeps every analytic result.
+    const double r = std::sqrt(2.0 * -std::log(1.0 - uniform()));
     const double theta = 2.0 * M_PI * uniform();
     // One sincos() call instead of separate sin/cos: glibc evaluates
     // both through the same argument reduction and polynomial kernels,

@@ -3,6 +3,7 @@
 #include <cmath>
 #include <cstdint>
 
+#include "common/cpu.h"
 #include "common/error.h"
 
 // The generic 32-byte vectors never cross a function boundary that
@@ -44,14 +45,6 @@ fastNegLogMarginalAvx2(const FastLmlProblem& problem, const double* p,
     return avx2_impl::negLogMarginal(problem, p, np, scratch);
 }
 
-bool
-avx2Supported()
-{
-    static const bool ok = __builtin_cpu_supports("avx2") &&
-                           __builtin_cpu_supports("fma");
-    return ok;
-}
-
 } // namespace detail
 
 RadialForm
@@ -70,7 +63,7 @@ double
 fastNegLogMarginal(const FastLmlProblem& problem, const double* p,
                    size_t np, FastLmlScratch& scratch)
 {
-    return detail::avx2Supported()
+    return avx2Supported()
                ? detail::fastNegLogMarginalAvx2(problem, p, np, scratch)
                : detail::fastNegLogMarginalBase(problem, p, np, scratch);
 }

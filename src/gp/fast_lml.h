@@ -128,13 +128,10 @@ double fastNegLogMarginalBase(const FastLmlProblem& problem,
                               const double* p, size_t np,
                               FastLmlScratch& scratch);
 
-/** AVX2+FMA variant (valid to call only when avx2Supported()). */
+/** AVX2+FMA variant (valid to call only when clite::avx2Supported()). */
 double fastNegLogMarginalAvx2(const FastLmlProblem& problem,
                               const double* p, size_t np,
                               FastLmlScratch& scratch);
-
-/** True when the host executes AVX2 and FMA. */
-bool avx2Supported();
 
 } // namespace detail
 

@@ -11,6 +11,7 @@
 #include <set>
 #include <vector>
 
+#include "common/cpu.h"
 #include "common/error.h"
 #include "common/rng.h"
 
@@ -275,6 +276,89 @@ TEST(RngLookahead, CommitLeavesParentAtConsumedPosition)
     EXPECT_TRUE(sameBits(parent.normal(), ref.normal()));
     EXPECT_TRUE(sameBits(parent.normal(), ref.normal()));
     EXPECT_EQ(parent.next(), ref.next());
+}
+
+/**
+ * The unit-exponential kernel's inputs: its edges — u = 0, 2^-53 and
+ * 1 - 2^-53, u = 1 - 2^-j (1 - u on every power of two it reaches),
+ * and u one step of 2^-53 either side of the √2/2 reduction cut in
+ * every binade where 1 - u can sit on it — then 10^6 seeded uniforms.
+ * Padded to a multiple of 4 for the block forms.
+ */
+std::vector<double>
+unitExponentialInputs()
+{
+    std::vector<double> us = {0.0, 0x1p-53, 1.0 - 0x1p-53};
+    for (int j = 1; j <= 53; ++j)
+        us.push_back(1.0 - std::ldexp(1.0, -j));
+    const uint64_t cut_bits = 0x3fe6a09e00000000ull;
+    double cut;
+    std::memcpy(&cut, &cut_bits, sizeof cut);
+    for (int j = 0; j <= 32; ++j) {
+        const double u = 1.0 - std::ldexp(cut, -j); // exact
+        for (double step : {-0x1p-53, 0.0, 0x1p-53})
+            us.push_back(u + step);
+    }
+    Rng rng(2020);
+    for (int i = 0; i < 1000000; ++i)
+        us.push_back(rng.uniform());
+    us.resize((us.size() + 3) / 4 * 4, 0.5);
+    return us;
+}
+
+/**
+ * The kernel is within 1 ulp of -log(1 - u), taken in long double and
+ * rounded to double, on every input, and u = 0 gives -0.0, as
+ * -std::log(1.0) does.
+ */
+TEST(UnitExponential, WithinOneUlpOfTheTrueValue)
+{
+    const double zero = detail::unitExponential(0.0);
+    EXPECT_TRUE(zero == 0.0 && std::signbit(zero));
+    size_t off_by_one = 0;
+    for (double u : unitExponentialInputs()) {
+        ASSERT_GE(u, 0.0);
+        ASSERT_LT(u, 1.0);
+        const double e = detail::unitExponential(u);
+        const double truth = double(-std::log(1.0L - u));
+        if (e == truth)
+            continue;
+        ASSERT_EQ(std::nextafter(truth, e), e)
+            << "u " << u << ": " << e << " vs " << truth;
+        ++off_by_one;
+    }
+    // Not correctly rounded everywhere: it is a 1-ulp kernel.
+    EXPECT_GT(off_by_one, 0u);
+}
+
+/**
+ * The baseline-ISA block form returns, lane for lane, the scalar
+ * form's bits on every input.
+ */
+TEST(UnitExponential, BaselineBlockFormMatchesScalarBits)
+{
+    std::vector<double> e = unitExponentialInputs();
+    const std::vector<double> us = e;
+    detail::unitExponentialsBase(e.data(), e.size());
+    for (size_t i = 0; i < us.size(); ++i)
+        ASSERT_TRUE(sameBits(e[i], detail::unitExponential(us[i])))
+            << "u " << us[i];
+}
+
+/**
+ * So does the AVX2 block form. Skipped (trivially passing) on hosts
+ * without AVX2, where only the baseline form is called.
+ */
+TEST(UnitExponential, Avx2BlockFormMatchesScalarBits)
+{
+    if (!avx2Supported())
+        GTEST_SKIP() << "host lacks AVX2+FMA; baseline block form only";
+    std::vector<double> e = unitExponentialInputs();
+    const std::vector<double> us = e;
+    detail::unitExponentialsAvx2(e.data(), e.size());
+    for (size_t i = 0; i < us.size(); ++i)
+        ASSERT_TRUE(sameBits(e[i], detail::unitExponential(us[i])))
+            << "u " << us[i];
 }
 
 TEST(Rng, SplitStreamsAreDecorrelated)

@@ -18,6 +18,7 @@
 #include <memory>
 #include <vector>
 
+#include "common/cpu.h"
 #include "common/error.h"
 #include "common/rng.h"
 #include "common/thread_pool.h"
@@ -78,7 +79,7 @@ struct ProblemData
  */
 TEST(FastLml, BaseAndAvx2VariantsBitIdentical)
 {
-    if (!detail::avx2Supported())
+    if (!avx2Supported())
         GTEST_SKIP() << "host lacks AVX2+FMA; single variant only";
     for (int form = 0; form < 3; ++form) {
         for (bool isotropic : {false, true}) {
